@@ -10,9 +10,6 @@
 use reflex_bench::chaos;
 
 fn main() {
-    // The chaos plan exercises the recovery machinery on the plain flash
-    // path; REFLEX_CACHE is ignored here and must say so loudly.
-    reflex_bench::note_cache_knob_ignored("chaos");
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut result = chaos::build_sweep(smoke).run();
     println!(

@@ -114,10 +114,6 @@ fn tcp_udp_stacks(udp: bool) -> (StackProfile, StackProfile, DataplaneConfig) {
 }
 
 fn main() {
-    // This harness compares network stacks on cacheless server
-    // configurations; a silently-ignored REFLEX_CACHE would invalidate
-    // any comparison against the cached figures.
-    reflex_bench::note_cache_knob_ignored("ext_features");
     // Each of the six simulations is its own point; the combined
     // tcp=/udp= rows are assembled from point metrics after the run.
     let mut sweep = Sweep::new("ext_features");

@@ -15,7 +15,6 @@
 //! runs on the same core), so the panel separates CPU pressure from
 //! flash queueing.
 //!
-//! `REFLEX_CACHE=<MiB>` replaces panel 1's size axis with {off, MiB}.
 //! `--smoke` runs a reduced grid for CI gates. The binary exits
 //! non-zero if no cached point reaches a ≥50% hit rate with a read p95
 //! below the cache-off baseline of its own skew — the tentpole claim.
@@ -146,12 +145,7 @@ fn conn_point(conns: u32, mb: u64) -> PointOutcome {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let thetas: &[u16] = if smoke { &[0, 990] } else { &[0, 900, 990] };
-    let sizes: Vec<u64> = match reflex_bench::cache_env_mb() {
-        Some(0) => vec![0],
-        Some(mb) => vec![0, mb],
-        None if smoke => vec![0, 16],
-        None => vec![0, 4, 16, 64],
-    };
+    let sizes: &[u64] = if smoke { &[0, 16] } else { &[0, 4, 16, 64] };
     let conn_counts: &[u32] = if smoke {
         &[100, 2_500]
     } else {
@@ -161,7 +155,7 @@ fn main() {
     let mut sweep = Sweep::new("fig_cache");
     for &theta in thetas {
         let curve = sweep.curve(format!("tail_theta{theta}"));
-        for &mb in &sizes {
+        for &mb in sizes {
             curve.point(move || tail_point(theta, mb));
         }
     }
@@ -211,7 +205,7 @@ fn main() {
     for &theta in thetas {
         let curve = result.curve(&format!("tail_theta{theta}"));
         let base_p95 = curve.points[0].p95_us; // sizes[0] == 0: cache off
-        for (p, &mb) in curve.points.iter().zip(&sizes) {
+        for (p, &mb) in curve.points.iter().zip(sizes) {
             let hits = p.metric("hit_pct").unwrap_or(0.0);
             if mb == 0 || hits < 50.0 {
                 continue;

@@ -90,44 +90,6 @@ pub fn sim_split() -> bool {
     }
 }
 
-/// DRAM cache capacity requested via `REFLEX_CACHE` (in MiB; unset =
-/// no override). `fig_cache` honors it by replacing its cache-size axis
-/// with `{off, N MiB}`; harnesses whose scenario has no cache tier
-/// (`ext_features`, `chaos`) print a one-line stderr note that the knob
-/// is ignored, matching the split-dataplane loud-fallback convention —
-/// a silently-dropped knob would invalidate a comparison without anyone
-/// noticing.
-///
-/// # Panics
-///
-/// Panics on non-numeric values (`0` and `off` mean "force the cache
-/// off", mapped to `Some(0)`).
-pub fn cache_env_mb() -> Option<u64> {
-    let raw = std::env::var("REFLEX_CACHE").ok()?;
-    if raw.is_empty() {
-        return None;
-    }
-    if raw == "off" {
-        return Some(0);
-    }
-    let mb: u64 = raw
-        .parse()
-        .unwrap_or_else(|_| panic!("invalid REFLEX_CACHE={raw:?} (expected MiB, 0, or off)"));
-    Some(mb)
-}
-
-/// Prints the loud one-liner for harnesses that cannot honor
-/// `REFLEX_CACHE` (their scenarios run server configurations the cache
-/// tier is not part of).
-pub fn note_cache_knob_ignored(harness: &str) {
-    if let Some(mb) = cache_env_mb() {
-        eprintln!(
-            "reflex-bench: REFLEX_CACHE={mb} ignored by {harness} (its scenario has no \
-             DRAM cache tier); see fig_cache for the cached figures"
-        );
-    }
-}
-
 /// Adds `workloads` to a testbed, runs warmup + measurement, and reports.
 /// Honors `REFLEX_SIM_SHARDS` (sharding applies before workloads are
 /// added; results are byte-identical at any shard count) and

@@ -17,10 +17,12 @@
 
 use std::sync::Arc;
 
-use reflex_net::ConnId;
 use reflex_qos::{TenantClass, TenantId};
-use reflex_sim::{Histogram, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
+use reflex_sim::{Histogram, PoolKey, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
+
+use crate::replica::ReadPolicy;
+use crate::replicated::MemberLink;
 
 /// One operation of a recorded I/O trace (offsets are relative to the
 /// workload's start).
@@ -391,9 +393,19 @@ pub(crate) struct WorkloadState {
     /// by one workload (or by the fabric/device) can never shift another's
     /// stream, which is what keeps sharded runs byte-identical.
     pub rng: SimRng,
-    pub conns: Vec<ConnId>,
-    /// Client thread index serving each connection.
-    pub conn_thread: Vec<u32>,
+    /// Where requests go: one member on site 0 for a single-copy
+    /// workload, R members (one per replica, slot order) for a
+    /// replicated one. Connection `i` to each member is served by client
+    /// thread `i % spec.client_threads`.
+    pub members: Vec<MemberLink>,
+    /// `Some` for replicated workloads: how reads pick members.
+    pub read_policy: Option<ReadPolicy>,
+    /// Primary slot (anchors reads; replicated workloads only).
+    pub primary: usize,
+    /// Membership epoch, bumped by every failover affecting this set.
+    pub epoch: u32,
+    /// Op counter rotating the start slot of quorum reads.
+    pub op_rr: u64,
     /// Sequential cursors per connection.
     pub seq_cursor: Vec<u64>,
     /// Deterministic-mix accumulator (percent units).
@@ -419,8 +431,11 @@ impl WorkloadState {
         WorkloadState {
             spec,
             rng,
-            conns: Vec::new(),
-            conn_thread: Vec::new(),
+            members: Vec::new(),
+            read_policy: None,
+            primary: 0,
+            epoch: 0,
+            op_rr: 0,
             seq_cursor: Vec::new(),
             read_debt: 0,
             read_hist: Histogram::new(),
@@ -480,11 +495,14 @@ impl WorkloadState {
     }
 }
 
-/// A request outstanding at a client, awaiting its response.
+/// A request outstanding at a client, awaiting its response: one wire
+/// attempt of a single-copy request, or of one sub-request of a
+/// replicated op. Tens of thousands are in flight under overload, so the
+/// indices are `u32` and the record stays at 48 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OutstandingReq {
-    pub workload: usize,
-    pub conn_idx: usize,
+    pub workload: u32,
+    pub conn_idx: u32,
     /// Issue instant of the *first* attempt — latency is measured from
     /// here so retries surface as tail inflation.
     pub sent_at: SimTime,
@@ -494,7 +512,14 @@ pub(crate) struct OutstandingReq {
     pub measured: bool,
     /// 1-based attempt number of the in-flight transmission.
     pub attempt: u32,
+    /// Replica slot (member index) this attempt targets; a single-copy
+    /// request's one member is slot 0.
+    pub slot: u8,
+    /// The replicated op this attempt is a sub-request of.
+    pub op: Option<PoolKey>,
 }
+
+const _: () = assert!(std::mem::size_of::<OutstandingReq>() == 48);
 
 #[cfg(test)]
 mod tests {

@@ -39,6 +39,7 @@ mod client;
 mod cluster;
 mod harness;
 mod replica;
+mod replicated;
 mod server;
 mod testbed;
 
@@ -57,6 +58,7 @@ pub use harness::ServerHarness;
 pub use replica::{
     quorum, FailoverAction, ReadPolicy, ReplicaFailover, ReplicaSet, ReplicaSets, MAX_REPLICAS,
 };
+pub use replicated::TenantRecovery;
 pub use server::{AdmissionError, ControlPlaneStats, ReflexServer, ServerConfig};
 pub use testbed::{
     ShardClamp, SplitFallback, Testbed, TestbedBuilder, TestbedError, TestbedReport, ThreadReport,

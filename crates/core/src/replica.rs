@@ -14,8 +14,9 @@
 //! [`ClusterPlanner::place_excluding`] (anti-affinity — a copy that
 //! shares a server with another copy survives nothing), and on a server
 //! death promotes a surviving replica and re-places the lost slot. The
-//! data-plane half — actual fan-out, ack counting and re-sync traffic —
-//! lives in `reflex-replication` and drives this type.
+//! data-plane half — actual fan-out, ack counting and re-sync timing —
+//! is the testbed world's replicated mode (`replicated.rs`), which
+//! drives this type.
 
 use std::collections::BTreeMap;
 

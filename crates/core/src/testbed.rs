@@ -29,7 +29,10 @@ use crate::client::{
     AddrPattern, ArrivalProcess, LoadPattern, MixProcess, OutstandingReq, WorkloadReport,
     WorkloadSpec, WorkloadState,
 };
+use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 use crate::harness::ServerHarness;
+use crate::replica::{ReadPolicy, ReplicaSets};
+use crate::replicated::{MemberLink, ReplControl, ReplOp};
 use crate::server::{AdmissionError, ReflexServer, ServerConfig};
 
 /// Errors configuring a testbed.
@@ -41,6 +44,9 @@ pub enum TestbedError {
     NoSuchClient(usize),
     /// Tenant registration failed.
     Admission(AdmissionError),
+    /// The coordinator could not place a replicated workload's replica
+    /// set.
+    Placement(PlacementError),
 }
 
 impl std::fmt::Display for TestbedError {
@@ -49,6 +55,7 @@ impl std::fmt::Display for TestbedError {
             TestbedError::InvalidSpec(s) => write!(f, "invalid workload: {s}"),
             TestbedError::NoSuchClient(i) => write!(f, "no client machine {i}"),
             TestbedError::Admission(e) => write!(f, "admission: {e}"),
+            TestbedError::Placement(e) => write!(f, "replica placement failed: {e}"),
         }
     }
 }
@@ -61,10 +68,47 @@ impl From<AdmissionError> for TestbedError {
     }
 }
 
+impl From<PlacementError> for TestbedError {
+    fn from(e: PlacementError) -> Self {
+        TestbedError::Placement(e)
+    }
+}
+
 #[derive(Clone)]
-struct ClientMachine {
-    machine: MachineId,
+pub(crate) struct ClientMachine {
+    pub(crate) machine: MachineId,
     stack: StackProfile,
+}
+
+/// One server site: a server machine with its own Flash device. A
+/// single-server testbed has one site; a replicated testbed has one per
+/// replica-hosting server.
+pub(crate) struct Site<S> {
+    pub(crate) machine: MachineId,
+    /// Server and device live on shard 0 only (split-dataplane replicas
+    /// aside); client shards carry `None` and route requests through
+    /// `route_table` instead.
+    pub(crate) server: Option<S>,
+    pub(crate) device: Option<FlashDevice>,
+    /// Index of this site's thread 0 in the world's per-thread tables.
+    first_thread: usize,
+    /// Worker-thread bound of this site's server.
+    threads: usize,
+}
+
+impl<S> Site<S> {
+    /// This site's placement, with its server and device moved out of
+    /// `self` (a second call finds them gone: shard 0 takes them, every
+    /// later shard gets an empty site).
+    fn take(&mut self) -> Site<S> {
+        Site {
+            machine: self.machine,
+            server: self.server.take(),
+            device: self.device.take(),
+            first_thread: self.first_thread,
+            threads: self.threads,
+        }
+    }
 }
 
 /// The recurring simulation events, dispatched through the engine's typed
@@ -106,6 +150,23 @@ pub enum WorldEvent {
     /// Fire every staged retransmission whose backoff has elapsed, in
     /// canonical order (see [`World::retry_fire_event`]).
     RetryFire,
+    /// Site `i`'s server dies (bookkeeping; the armed fault hooks do the
+    /// actual damage).
+    ServerDeath(usize),
+    /// The replica-set coordinator detects site `i`'s death and fails
+    /// over every affected set.
+    Failover(usize),
+    /// Replacement member `slot` of workload `w_idx` finished re-syncing
+    /// under membership `epoch`.
+    ResyncDone {
+        /// Workload index.
+        w_idx: usize,
+        /// Replica slot.
+        slot: usize,
+        /// Membership epoch the re-sync started under; a stale epoch
+        /// (another failover happened meanwhile) is ignored.
+        epoch: u32,
+    },
 }
 
 /// A staged retransmission. Typed instead of a boxed closure so the retry
@@ -113,16 +174,10 @@ pub enum WorldEvent {
 /// order — due records are drained in an order derived from the request
 /// itself, which is the same in a mono run and a sharded run.
 #[derive(Clone, Copy)]
-struct RetryRec {
-    fire_at: SimTime,
-    w_idx: usize,
-    conn_idx: usize,
-    is_read: bool,
-    addr: u64,
-    len: u32,
-    first_sent_at: SimTime,
-    measured: bool,
-    attempt: u32,
+pub(crate) struct RetryRec {
+    pub(crate) fire_at: SimTime,
+    /// The attempt to transmit (its `attempt` already incremented).
+    pub(crate) req: OutstandingReq,
 }
 
 impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent {
@@ -137,7 +192,7 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent {
             // entries on the same event-driven horizon, so the applied set
             // at any instant is a pure function of the event timeline —
             // identical at every shard count.
-            if let Some(device) = world.device.as_mut() {
+            if let Some(device) = world.sites[0].device.as_mut() {
                 device.observe(ctx.now());
             }
             if let Some(ledger) = &world.ledger {
@@ -160,24 +215,29 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent {
             WorldEvent::Control(interval) => world.control_event(interval, ctx),
             WorldEvent::Issue { w_idx, conn_idx } => world.issue_request(w_idx, conn_idx, ctx),
             WorldEvent::RetryFire => world.retry_fire_event(ctx),
+            WorldEvent::ServerDeath(site) => world.server_death_event(site, ctx),
+            WorldEvent::Failover(site) => world.failover_event(site, ctx),
+            WorldEvent::ResyncDone { w_idx, slot, epoch } => {
+                world.resync_done_event(w_idx, slot, epoch);
+            }
         }
     }
 }
 
 /// The simulation world: every component plus scheduling bookkeeping.
+///
+/// Holds 1..N server [sites](Self::site_count). A single-server testbed
+/// is the one-site case; a replicated testbed (see
+/// [`TestbedBuilder::build_replicated`]) adds a replica-set coordinator
+/// and fans each replicated op out over several sites. Accessors that
+/// name "the" server or device refer to site 0.
 pub struct World<S: ServerHarness = ReflexServer> {
-    fabric: Fabric<WireMsg>,
-    // Device and server live on shard 0 only; client shards carry `None`
-    // and route requests through `route_table` instead. Single-shard runs
-    // always hold both.
-    device: Option<FlashDevice>,
-    server: Option<S>,
-    /// The server's machine id, known to every shard.
-    server_machine: MachineId,
+    pub(crate) fabric: Fabric<WireMsg>,
+    pub(crate) sites: Vec<Site<S>>,
     /// Static conn → NIC-queue routes cached at bind time, consulted by
     /// shards that do not hold the server (sharding requires servers whose
     /// routing is static — see [`ServerHarness::supports_sharding`]).
-    route_table: HashMap<ConnId, NicQueueId>,
+    pub(crate) route_table: HashMap<ConnId, NicQueueId>,
     /// Whether client machine `i` is simulated by this world (all true in
     /// a single-shard run).
     client_local: Vec<bool>,
@@ -185,13 +245,16 @@ pub struct World<S: ServerHarness = ReflexServer> {
     /// ([`SimRng::stream`] keyed by registration index, so a workload's
     /// draws do not depend on what other workloads do).
     gen_seed: u64,
-    clients: Vec<ClientMachine>,
-    workloads: Vec<WorkloadState>,
+    pub(crate) clients: Vec<ClientMachine>,
+    pub(crate) workloads: Vec<WorkloadState>,
     client_threads_busy: Vec<Vec<SimTime>>, // [workload][client thread]
-    // In-flight requests live in a slab; the pool key (slot + generation)
+    // In-flight attempts live in a slab; the pool key (slot + generation)
     // packs into the wire cookie, so responses and timeouts look the
-    // request up by index with no hashing and slot reuse recycles storage.
+    // attempt up by index with no hashing and slot reuse recycles storage.
+    // Replicated sub-requests live here too, linked to their op.
     outstanding: SlabPool<OutstandingReq>,
+    /// Quorum accounting of in-flight replicated ops.
+    pub(crate) ops: SlabPool<ReplOp>,
     // Recycled buffer for client-side response polling (a fresh Vec per
     // poll event would be the last per-IO allocation on the client path).
     poll_scratch: Vec<Delivery<WireMsg>>,
@@ -200,12 +263,13 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // so sustained timeouts stay allocation-free.
     retries_pending: Vec<RetryRec>,
     retry_scratch: Vec<RetryRec>,
-    // Pending wake per server thread / client machine: the instant plus a
-    // handle to the scheduled event, so re-arming to an earlier instant
-    // cancels the old wake instead of leaving a dead event in the queue.
+    // Pending wake per server thread (all sites' threads, site by site) /
+    // client machine: the instant plus a handle to the scheduled event, so
+    // re-arming to an earlier instant cancels the old wake instead of
+    // leaving a dead event in the queue.
     thread_wake: Vec<Option<(SimTime, EventHandle)>>,
     client_wake: Vec<Option<(SimTime, EventHandle)>>,
-    measure_start: Option<SimTime>,
+    pub(crate) measure_start: Option<SimTime>,
     busy_snapshot: Vec<SimDuration>,
     sched_snapshot: Vec<SimDuration>,
     spent_snapshot: HashMap<TenantId, i64>,
@@ -214,7 +278,7 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // Disabled by default: a single branch on the hot path. When enabled
     // (see [`Testbed::enable_telemetry`]) the same handle is shared by the
     // device, fabric, server threads and the client-side span/SLO probes.
-    telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
     /// Split-dataplane mode: the device stages commands, the token bucket
     /// is a lease ledger, and dataplane threads may live on different
     /// shards (see [`Testbed::enable_split_dataplane`]).
@@ -229,11 +293,16 @@ pub struct World<S: ServerHarness = ReflexServer> {
     /// Peer shards holding device/ledger replicas that must receive this
     /// shard's staged commands and lease entries at window boundaries.
     dev_peers: Vec<usize>,
+    /// Replica-set coordinator and failover timeline (replicated testbeds
+    /// only, on shard 0 with the sites — fault campaigns pin to a single
+    /// shard, so failover only reshapes membership where generators run).
+    pub(crate) repl: Option<ReplControl>,
 }
 
 impl<S: ServerHarness> std::fmt::Debug for World<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
+            .field("sites", &self.sites.len())
             .field("workloads", &self.workloads.len())
             .field("outstanding", &self.outstanding.len())
             .finish()
@@ -241,13 +310,55 @@ impl<S: ServerHarness> std::fmt::Debug for World<S> {
 }
 
 impl<S: ServerHarness + 'static> World<S> {
-    /// The simulated Flash device.
+    /// A world around `sites` with every client machine and thread local
+    /// and no workloads yet.
+    fn new(
+        fabric: Fabric<WireMsg>,
+        sites: Vec<Site<S>>,
+        clients: Vec<ClientMachine>,
+        gen_seed: u64,
+        telemetry: Telemetry,
+    ) -> Self {
+        let n_threads = sites.iter().map(|s| s.threads).sum();
+        World {
+            fabric,
+            sites,
+            route_table: HashMap::new(),
+            client_local: vec![true; clients.len()],
+            gen_seed,
+            client_wake: vec![None; clients.len()],
+            clients,
+            workloads: Vec::new(),
+            client_threads_busy: Vec::new(),
+            outstanding: SlabPool::new(),
+            ops: SlabPool::new(),
+            poll_scratch: Vec::new(),
+            retries_pending: Vec::new(),
+            retry_scratch: Vec::new(),
+            thread_wake: vec![None; n_threads],
+            measure_start: None,
+            busy_snapshot: Vec::new(),
+            sched_snapshot: Vec::new(),
+            spent_snapshot: HashMap::new(),
+            gen_cursor: Vec::new(),
+            zipf: Vec::new(),
+            telemetry,
+            split: false,
+            thread_local: vec![true; n_threads],
+            ledger: None,
+            dev_peers: Vec::new(),
+            repl: None,
+        }
+    }
+
+    /// The simulated Flash device (site 0's).
     ///
     /// # Panics
     ///
     /// Panics on a client shard's world (the device lives on shard 0).
     pub fn device(&self) -> &FlashDevice {
-        self.device
+        self.sites[0]
+            .device
             .as_ref()
             .expect("device lives on the server shard")
     }
@@ -259,9 +370,29 @@ impl<S: ServerHarness + 'static> World<S> {
     ///
     /// Panics on a client shard's world (the device lives on shard 0).
     pub fn device_mut(&mut self) -> &mut FlashDevice {
-        self.device
+        self.site_device_mut(0)
+    }
+
+    /// Exclusive access to site `site`'s device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range or on a client shard's world.
+    pub fn site_device_mut(&mut self, site: usize) -> &mut FlashDevice {
+        self.sites[site]
+            .device
             .as_mut()
             .expect("device lives on the server shard")
+    }
+
+    /// Number of server sites (1 unless built replicated).
+    pub fn site_count(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// Machine id of server site `site` (panics if out of range).
+    pub fn site_machine(&self, site: usize) -> MachineId {
+        self.sites[site].machine
     }
 
     /// The network fabric.
@@ -275,13 +406,16 @@ impl<S: ServerHarness + 'static> World<S> {
         &mut self.fabric
     }
 
-    /// The server under test.
+    /// The server under test (site 0's).
     ///
     /// # Panics
     ///
     /// Panics on a client shard's world (the server lives on shard 0).
     pub fn server(&self) -> &S {
-        self.server.as_ref().expect("server lives on shard 0")
+        self.sites[0]
+            .server
+            .as_ref()
+            .expect("server lives on shard 0")
     }
 
     /// Exclusive access to the server (tests and advanced harnesses).
@@ -290,7 +424,10 @@ impl<S: ServerHarness + 'static> World<S> {
     ///
     /// Panics on a client shard's world (the server lives on shard 0).
     pub fn server_mut(&mut self) -> &mut S {
-        self.server.as_mut().expect("server lives on shard 0")
+        self.sites[0]
+            .server
+            .as_mut()
+            .expect("server lives on shard 0")
     }
 
     /// Machine id of client machine `idx` (panics if out of range).
@@ -311,14 +448,23 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
+    /// The site owning global thread index `thread`.
+    fn site_of_thread(&self, thread: usize) -> usize {
+        self.sites
+            .iter()
+            .rposition(|s| s.first_thread <= thread)
+            .expect("site 0 owns thread 0")
+    }
+
     fn ensure_thread_wake(
         &mut self,
         ctx: &mut Ctx<World<S>, WorldEvent>,
         thread: usize,
         at: SimTime,
     ) {
-        // Split mode: a thread only pumps on the shard that owns it. Every
-        // wake funnels through here, so this is the single gate point.
+        // Split mode: a thread only pumps on the shard that owns it; in
+        // machine-granular sharding only shard 0 (the sites' shard) pumps.
+        // Every wake funnels through here, so this is the single gate.
         if !self.thread_local.get(thread).copied().unwrap_or(false) {
             return;
         }
@@ -356,9 +502,9 @@ impl<S: ServerHarness + 'static> World<S> {
         // between a single-shard run (wakes armed at send time) and a
         // sharded run (wakes armed at the window exchange), so one pump
         // event services every thread whose wake is due, in ascending
-        // thread order, cancelling the siblings' queued events. The pump
-        // sequence then depends only on the due set, never on insertion
-        // order.
+        // thread order (sites in order), cancelling the siblings' queued
+        // events. The pump sequence then depends only on the due set,
+        // never on insertion order.
         let now = ctx.now();
         for i in 0..self.thread_wake.len() {
             let due = i == thread || self.thread_wake[i].is_some_and(|(at, _)| at <= now);
@@ -375,9 +521,12 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     fn pump_one(&mut self, thread: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
-        let server = self.server.as_mut().expect("pump runs on the server shard");
-        let device = self.device.as_mut().expect("device lives with the server");
-        let wake = server.pump_thread(thread, ctx.now(), &mut self.fabric, device);
+        let site = self.site_of_thread(thread);
+        let st = &mut self.sites[site];
+        let first = st.first_thread;
+        let server = st.server.as_mut().expect("pump runs on the server shard");
+        let device = st.device.as_mut().expect("device lives with the server");
+        let wake = server.pump_thread(thread - first, ctx.now(), &mut self.fabric, device);
         if let Some(at) = wake {
             self.ensure_thread_wake(ctx, thread, at);
         }
@@ -387,21 +536,24 @@ impl<S: ServerHarness + 'static> World<S> {
                 self.ensure_client_wake(ctx, c);
             }
         }
-        // Re-arm every active thread whose queue has pending arrivals —
-        // including the thread just pumped. Its own `pump_thread` hint also
-        // covers the next arrival, but folded together with the core-busy
-        // horizon (`max(next_arrival, core_busy)`), whereas a sharded run's
-        // window exchange arms the *raw* arrival bound. Arming the raw
-        // bound here too makes the effective wake
-        // `min(bound, max(other sources, core_busy))` in both modes, so
-        // pump instants are identical at any shard count.
-        let server = self.server.as_ref().expect("server shard");
-        let n_active = server.active_threads();
-        let machine = server.machine();
-        for i in 0..n_active {
-            let queue = self.server.as_ref().expect("server shard").nic_queue(i);
+        // Re-arm every active thread of the pumped site whose queue has
+        // pending arrivals — including the thread just pumped. Its own
+        // `pump_thread` hint also covers the next arrival, but folded
+        // together with the core-busy horizon (`max(next_arrival,
+        // core_busy)`), whereas a sharded run's window exchange arms the
+        // *raw* arrival bound. Arming the raw bound here too makes the
+        // effective wake `min(bound, max(other sources, core_busy))` in
+        // both modes, so pump instants are identical at any shard count.
+        let machine = self.sites[site].machine;
+        let server = self.sites[site].server.as_ref().expect("server shard");
+        for i in 0..server.active_threads() {
+            let queue = self.sites[site]
+                .server
+                .as_ref()
+                .expect("server shard")
+                .nic_queue(i);
             if let Some(at) = self.fabric.next_arrival_queue(machine, queue) {
-                self.ensure_thread_wake(ctx, i, at);
+                self.ensure_thread_wake(ctx, first + i, at);
             }
         }
     }
@@ -435,7 +587,7 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// Stages a retransmission and schedules its backoff deadline.
-    fn stage_retry(&mut self, rec: RetryRec, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    pub(crate) fn stage_retry(&mut self, rec: RetryRec, ctx: &mut Ctx<World<S>, WorldEvent>) {
         self.retries_pending.push(rec);
         ctx.schedule_event_at(rec.fire_at, WorldEvent::RetryFire);
     }
@@ -449,8 +601,9 @@ impl<S: ServerHarness + 'static> World<S> {
     /// insertion order — which differs between a mono run (wakes re-armed
     /// at every send) and a sharded run (wakes armed at the window
     /// exchange). So: drain every due delivery first, then fire due
-    /// retries sorted by a key derived from the request itself. Records
-    /// with identical keys are interchangeable, so the result is a pure
+    /// retries sorted by a key derived from the request itself (a
+    /// replicated sub-request adds its replica slot). Records with
+    /// identical keys are interchangeable, so the result is a pure
     /// function of the event timeline at any shard count.
     fn retry_fire_event(&mut self, ctx: &mut Ctx<World<S>, WorldEvent>) {
         let now = ctx.now();
@@ -465,27 +618,13 @@ impl<S: ServerHarness + 'static> World<S> {
             }
         }
         due.sort_unstable_by_key(|r| {
+            let q = &r.req;
             (
-                r.w_idx,
-                r.conn_idx,
-                r.attempt,
-                r.first_sent_at,
-                r.addr,
-                r.is_read,
+                q.workload, q.conn_idx, q.attempt, q.sent_at, q.addr, q.is_read, q.slot,
             )
         });
         for r in due.drain(..) {
-            self.transmit_attempt(
-                r.w_idx,
-                r.conn_idx,
-                r.is_read,
-                r.addr,
-                r.len,
-                r.first_sent_at,
-                r.measured,
-                r.attempt,
-                ctx,
-            );
+            self.transmit_attempt(r.req, ctx);
         }
         self.retry_scratch = due;
     }
@@ -504,27 +643,22 @@ impl<S: ServerHarness + 'static> World<S> {
                 // already timed out — a real client ignores both.
                 continue;
             };
-            let w = &mut self.workloads[req.workload];
+            if let Some(op) = req.op {
+                self.sub_response(req, op, header.opcode, d.arrived_at, ctx);
+                continue;
+            }
+            let w = &mut self.workloads[req.workload as usize];
             let policy = w.spec.retry;
             if header.opcode == Opcode::Error && req.attempt < policy.max_attempts {
                 // Retryable failure: back off and retransmit instead of
                 // surfacing the error (the retry keeps closed-loop depth).
                 w.retries += 1;
-                let backoff = policy.backoff_after(req.attempt);
-                self.stage_retry(
-                    RetryRec {
-                        fire_at: ctx.now() + backoff,
-                        w_idx: req.workload,
-                        conn_idx: req.conn_idx,
-                        is_read: req.is_read,
-                        addr: req.addr,
-                        len: req.len,
-                        first_sent_at: req.sent_at,
-                        measured: req.measured,
-                        attempt: req.attempt + 1,
-                    },
-                    ctx,
-                );
+                let fire_at = ctx.now() + policy.backoff_after(req.attempt);
+                let req = OutstandingReq {
+                    attempt: req.attempt + 1,
+                    ..req
+                };
+                self.stage_retry(RetryRec { fire_at, req }, ctx);
                 continue;
             }
             if header.opcode != Opcode::Error && req.attempt > 1 {
@@ -573,7 +707,7 @@ impl<S: ServerHarness + 'static> World<S> {
             }
             // Closed-loop: keep the queue depth topped up.
             if matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped {
-                self.issue_request(req.workload, req.conn_idx, ctx);
+                self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
             }
         }
         self.poll_scratch = deliveries;
@@ -609,6 +743,11 @@ impl<S: ServerHarness + 'static> World<S> {
         conn_idx: usize,
         ctx: &mut Ctx<World<S>, WorldEvent>,
     ) {
+        if self.workloads[w_idx].members.is_empty() {
+            // Fully degraded replica set: nothing to send to.
+            self.workloads[w_idx].exhausted += 1;
+            return;
+        }
         let addr = self.next_addr(w_idx, conn_idx);
         let w = &mut self.workloads[w_idx];
         let spec = &w.spec;
@@ -630,51 +769,67 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// Issues one fully-specified request (the trace-replay path and the
-    /// generated path share everything from here on).
+    /// generated path share everything from here on). A replicated
+    /// workload fans the request out as one op over its replica set.
     fn issue_explicit(
         &mut self,
         w_idx: usize,
         conn_idx: usize,
         is_read: bool,
         addr: u64,
-        io_size: u32,
+        len: u32,
         ctx: &mut Ctx<World<S>, WorldEvent>,
     ) {
         let now = ctx.now();
-        let measured = self.measure_start.is_some_and(|m| now >= m);
-        self.transmit_attempt(
-            w_idx, conn_idx, is_read, addr, io_size, now, measured, 1, ctx,
-        );
+        let req = OutstandingReq {
+            workload: w_idx as u32,
+            conn_idx: conn_idx as u32,
+            sent_at: now,
+            is_read,
+            addr,
+            len,
+            measured: self.measure_start.is_some_and(|m| now >= m),
+            attempt: 1,
+            slot: 0,
+            op: None,
+        };
+        if self.workloads[w_idx].read_policy.is_some() {
+            self.issue_op(req, ctx);
+        } else {
+            self.transmit_attempt(req, ctx);
+        }
     }
 
-    /// Transmits one attempt of a request. `attempt == 1` is a fresh issue;
-    /// higher attempts are retransmissions carrying the original request's
-    /// first-send instant and measurement flag.
-    #[allow(clippy::too_many_arguments)]
-    fn transmit_attempt(
+    /// Transmits one attempt of a request: a single-copy request, or one
+    /// sub-request of a replicated op (`req.op`) aimed at that slot's
+    /// member. `attempt == 1` is a fresh issue; higher attempts are
+    /// retransmissions carrying the original request's first-send instant
+    /// and measurement flag.
+    pub(crate) fn transmit_attempt(
         &mut self,
-        w_idx: usize,
-        conn_idx: usize,
-        is_read: bool,
-        addr: u64,
-        io_size: u32,
-        first_sent_at: SimTime,
-        measured: bool,
-        attempt: u32,
+        req: OutstandingReq,
         ctx: &mut Ctx<World<S>, WorldEvent>,
     ) {
         let now = ctx.now();
-        let w = &mut self.workloads[w_idx];
+        if let Some(op) = req.op {
+            if !self.sub_may_send(&req, op, now) {
+                return;
+            }
+        }
+        let w_idx = req.workload as usize;
+        let w = &self.workloads[w_idx];
         let spec = &w.spec;
         let tenant = spec.tenant;
         let timeout = spec.retry.timeout;
         let client_idx = spec.client_machine;
-        let conn = w.conns[conn_idx];
-        let th = w.conn_thread[conn_idx] as usize;
+        let th = (req.conn_idx % spec.client_threads) as usize;
+        let member = &w.members[req.slot as usize];
+        let (site, conn) = (member.site, member.conns[req.conn_idx as usize]);
 
         // Client thread gating: the stack's per-message CPU bounds the
-        // thread's message rate (Linux: ~70K msgs/s). Retransmissions cost
-        // CPU like any other message.
+        // thread's message rate (Linux: ~70K msgs/s). Retransmissions and
+        // every replicated sub-request cost CPU like any other message,
+        // so fan-out inflates client-side serialization as on hardware.
         let per_msg = self.clients[client_idx].stack.per_msg_cpu;
         let busy = &mut self.client_threads_busy[w_idx][th];
         let t_send = now.max(*busy);
@@ -690,28 +845,22 @@ impl<S: ServerHarness + 'static> World<S> {
         // Register the attempt first: the slab key becomes the wire cookie
         // (slot + generation), so the response and the timeout both find it
         // by index, and a reused slot invalidates stale cookies.
-        let key = self.outstanding.insert(OutstandingReq {
-            workload: w_idx,
-            conn_idx,
-            sent_at: first_sent_at,
-            is_read,
-            addr,
-            len: io_size,
-            measured,
-            attempt,
-        });
-        let cookie = key.as_u64();
+        let cookie = self.outstanding.insert(req).as_u64();
         let header = ReflexHeader {
-            opcode: if is_read { Opcode::Get } else { Opcode::Put },
+            opcode: if req.is_read {
+                Opcode::Get
+            } else {
+                Opcode::Put
+            },
             tenant: tenant.0,
             cookie,
-            addr,
-            len: io_size,
+            addr: req.addr,
+            len: req.len,
         };
-        let payload = if is_read { 0 } else { io_size };
+        let payload = if req.is_read { 0 } else { req.len };
         let client_machine = self.clients[client_idx].machine;
-        let server_machine = self.server_machine;
-        let queue = match &self.server {
+        let st = &self.sites[site];
+        let queue = match &st.server {
             Some(s) => s.route(conn).unwrap_or_default(),
             // Client shard: static route cached at bind time. The
             // server-side wake is armed by the window exchange on the
@@ -721,27 +870,30 @@ impl<S: ServerHarness + 'static> World<S> {
         let arrival = self.fabric.send_to_queue(
             t_send,
             client_machine,
-            server_machine,
+            st.machine,
             queue,
             conn,
             payload,
             header.encode_array(),
         );
-        if measured && attempt == 1 {
+        if req.op.is_none() && req.measured && req.attempt == 1 {
             self.workloads[w_idx].issued += 1;
         }
-        let server_thread = self.server.as_ref().map(|s| s.thread_of_conn(conn));
-        match server_thread {
-            Some(Some(thread)) => self.ensure_thread_wake(ctx, thread, arrival),
-            // Unbound connection (link currently down): the message still
-            // lands on queue 0 where the dataplane drops it — wake thread 0
-            // so the drop is processed even with no other traffic.
-            Some(None) => self.ensure_thread_wake(ctx, 0, arrival),
-            // No server on this shard: nothing to wake locally.
-            None => {}
+        // Unbound connection (link currently down): the message still
+        // lands on queue 0 where the dataplane drops it — wake thread 0 so
+        // the drop is processed even with no other traffic. No server on
+        // this shard: nothing to wake locally.
+        let st = &self.sites[site];
+        if let Some(thread) = st.server.as_ref().map(|s| s.thread_of_conn(conn)) {
+            let thread = st.first_thread + thread.unwrap_or(0);
+            self.ensure_thread_wake(ctx, thread, arrival);
         }
         if let Some(timeout) = timeout {
-            ctx.schedule_event_at(t_send + timeout, WorldEvent::Timeout(cookie));
+            let deadline = match req.op {
+                None => timeout,
+                Some(_) => crate::replicated::widened_deadline(timeout, req.attempt),
+            };
+            ctx.schedule_event_at(t_send + deadline, WorldEvent::Timeout(cookie));
         }
     }
 
@@ -758,7 +910,7 @@ impl<S: ServerHarness + 'static> World<S> {
         // armed at the window exchange) — so drain the owning client's due
         // deliveries first, then decide whether the attempt is lost.
         if let Some(req) = self.outstanding.get(PoolKey::from_u64(cookie)) {
-            let client = self.workloads[req.workload].spec.client_machine;
+            let client = self.workloads[req.workload as usize].spec.client_machine;
             if self.client_local[client] {
                 self.poll_client(client, ctx);
             }
@@ -766,31 +918,26 @@ impl<S: ServerHarness + 'static> World<S> {
         let Some(req) = self.outstanding.take(PoolKey::from_u64(cookie)) else {
             return; // answered in time — nothing to do
         };
-        let w = &mut self.workloads[req.workload];
+        if let Some(op) = req.op {
+            self.sub_timeout(req, op, ctx);
+            return;
+        }
+        let w = &mut self.workloads[req.workload as usize];
         w.timeouts += 1;
         let policy = w.spec.retry;
         if req.attempt < policy.max_attempts {
             w.retries += 1;
-            let backoff = policy.backoff_after(req.attempt);
-            self.stage_retry(
-                RetryRec {
-                    fire_at: ctx.now() + backoff,
-                    w_idx: req.workload,
-                    conn_idx: req.conn_idx,
-                    is_read: req.is_read,
-                    addr: req.addr,
-                    len: req.len,
-                    first_sent_at: req.sent_at,
-                    measured: req.measured,
-                    attempt: req.attempt + 1,
-                },
-                ctx,
-            );
+            let fire_at = ctx.now() + policy.backoff_after(req.attempt);
+            let req = OutstandingReq {
+                attempt: req.attempt + 1,
+                ..req
+            };
+            self.stage_retry(RetryRec { fire_at, req }, ctx);
         } else {
             w.exhausted += 1;
             let refill = matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped;
             if refill {
-                self.issue_request(req.workload, req.conn_idx, ctx);
+                self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
             }
         }
     }
@@ -803,7 +950,7 @@ impl<S: ServerHarness + 'static> World<S> {
         let LoadPattern::OpenLoop { iops } = w.spec.pattern else {
             return;
         };
-        let conns = w.conns.len();
+        let conns = w.spec.conns as usize;
         let arrival = w.spec.arrival;
         let conn_idx = self.gen_cursor[w_idx] % conns;
         self.gen_cursor[w_idx] += 1;
@@ -831,8 +978,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
         let trace = w.spec.trace.clone().expect("trace workloads carry a trace");
         let Some(op) = trace.get(pos) else { return };
-        let conns = w.conns.len();
-        let conn_idx = pos % conns;
+        let conn_idx = pos % w.spec.conns as usize;
         self.issue_explicit(w_idx, conn_idx, op.is_read, op.addr, op.len, ctx);
         if let Some(next) = trace.get(pos + 1) {
             let due = started + next.at;
@@ -849,7 +995,7 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     fn control_event(&mut self, interval: SimDuration, ctx: &mut Ctx<World<S>, WorldEvent>) {
-        if let Some(server) = self.server.as_mut() {
+        for server in self.sites.iter_mut().filter_map(|s| s.server.as_mut()) {
             let _ = server.control_tick(ctx.now(), interval);
         }
         ctx.schedule_event_after(interval, WorldEvent::Control(interval));
@@ -892,7 +1038,7 @@ impl<S: ServerHarness + 'static> ShardWorld<WorldEvent> for World<S> {
         // staging instant, so that boundary is their conservative bound.
         let w = self.fabric.lookahead().as_nanos();
         let grid_after = |at: SimTime| SimTime::from_nanos(at.as_nanos() / w * w + w);
-        if let Some(device) = self.device.as_mut() {
+        if let Some(device) = self.sites[0].device.as_mut() {
             let cmds = device.take_staged_outbound();
             if !cmds.is_empty() {
                 let bound = grid_after(cmds.iter().map(|c| c.at).min().expect("non-empty"));
@@ -930,16 +1076,16 @@ impl<S: ServerHarness + 'static> ShardWorld<WorldEvent> for World<S> {
                     let conn = flight.conn();
                     let bound = flight.bound();
                     self.fabric.accept_flight(flight);
-                    if to == self.server_machine {
+                    if let Some(st) = self.sites.iter().find(|s| s.machine == to) {
                         // Unbound connections fall back to thread 0: the
                         // message lands on queue 0, owned by thread 0's
                         // shard.
-                        let thread = self
-                            .server
-                            .as_ref()
-                            .expect("flights to the server land on a server shard")
-                            .thread_of_conn(conn)
-                            .unwrap_or(0);
+                        let thread = st.first_thread
+                            + st.server
+                                .as_ref()
+                                .expect("flights to a server land on a server shard")
+                                .thread_of_conn(conn)
+                                .unwrap_or(0);
                         self.ensure_thread_wake(ctx, thread, bound);
                     } else if let Some(c) = self.clients.iter().position(|c| c.machine == to) {
                         self.ensure_client_wake(ctx, c);
@@ -949,7 +1095,8 @@ impl<S: ServerHarness + 'static> ShardWorld<WorldEvent> for World<S> {
                 // effect at dispatch-time `observe` calls, which existing
                 // events already drive.
                 WorldFlight::Dev(_, cmds) => {
-                    self.device
+                    self.sites[0]
+                        .device
                         .as_mut()
                         .expect("device replicas live on thread shards")
                         .accept_staged(&cmds);
@@ -1116,7 +1263,73 @@ impl TestbedBuilder {
     ///
     /// Panics if no client machines are configured.
     pub fn build(self) -> Testbed<ReflexServer> {
-        let cost_model = self
+        self.build_reflex_sites(1, None)
+    }
+
+    /// Builds a replicated testbed: `sites` ReFlex servers, each with its
+    /// own Flash device, and a replica-set coordinator placing every
+    /// replicated workload ([`Testbed::add_replicated`]) on `replication`
+    /// distinct sites. A site death fails over after `detect_delay`; a
+    /// replacement member re-syncs its namespace at
+    /// `resync_bytes_per_sec` before it serves reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no client machines are configured, if `replication` is 0
+    /// or exceeds `sites` or [`MAX_REPLICAS`](crate::MAX_REPLICAS), or if
+    /// the re-sync bandwidth is not positive.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use reflex_core::{ReadPolicy, RetryPolicy, Testbed, WorkloadSpec};
+    /// use reflex_qos::{SloSpec, TenantClass, TenantId};
+    /// use reflex_sim::SimDuration;
+    ///
+    /// let mut tb = Testbed::builder().build_replicated(4, 3, SimDuration::from_millis(30), 2e9);
+    /// let slo = SloSpec::new(26_000, 70, SimDuration::from_micros(800));
+    /// let class = TenantClass::LatencyCritical(slo);
+    /// let spec = WorkloadSpec::open_loop("app", TenantId(1), class, 20_000.0)
+    ///     .with_retry(RetryPolicy::standard());
+    /// tb.add_replicated(spec, ReadPolicy::Quorum)?;
+    /// assert_eq!(tb.world().member_sites(0).len(), 3);
+    /// tb.run(SimDuration::from_millis(20));
+    /// tb.begin_measurement();
+    /// tb.run(SimDuration::from_millis(30));
+    /// assert!(tb.report().workload("app").iops > 15_000.0);
+    /// # Ok::<(), reflex_core::TestbedError>(())
+    /// ```
+    pub fn build_replicated(
+        self,
+        sites: usize,
+        replication: usize,
+        detect_delay: SimDuration,
+        resync_bytes_per_sec: f64,
+    ) -> Testbed<ReflexServer> {
+        assert!(
+            replication >= 1 && replication <= sites,
+            "replication factor {replication} needs at least that many sites (have {sites})"
+        );
+        assert!(
+            resync_bytes_per_sec > 0.0,
+            "re-sync bandwidth must be positive"
+        );
+        let (cost, capacity) = self.cost_and_capacity();
+        let descriptors = (0..sites)
+            .map(|s| ServerDescriptor::new(ServerId(s as u32), capacity.clone(), cost.clone()))
+            .collect();
+        let control = ReplControl {
+            coord: ReplicaSets::new(ClusterPlanner::new(descriptors), replication),
+            detect_delay,
+            resync_bytes_per_sec,
+            death_at: vec![None; sites],
+            timeline: Vec::new(),
+        };
+        self.build_reflex_sites(sites, Some(control))
+    }
+
+    fn cost_and_capacity(&self) -> (CostModel, CapacityProfile) {
+        let cost = self
             .cost_model
             .clone()
             .unwrap_or_else(|| CostModel::for_profile(&self.device));
@@ -1124,18 +1337,27 @@ impl TestbedBuilder {
             .capacity
             .clone()
             .unwrap_or_else(|| CapacityProfile::for_profile(&self.device));
+        (cost, capacity)
+    }
+
+    fn build_reflex_sites(self, sites: usize, repl: Option<ReplControl>) -> Testbed<ReflexServer> {
+        let (cost, capacity) = self.cost_and_capacity();
         let server_cfg = self.server.clone();
-        self.build_with(move |fabric, device, machine| {
-            ReflexServer::new(
-                machine,
-                fabric,
-                device,
-                cost_model,
-                capacity,
-                server_cfg,
-                SimTime::ZERO,
-            )
-        })
+        self.build_sites(
+            sites,
+            |fabric, device, machine| {
+                ReflexServer::new(
+                    machine,
+                    fabric,
+                    device,
+                    cost.clone(),
+                    capacity.clone(),
+                    server_cfg.clone(),
+                    SimTime::ZERO,
+                )
+            },
+            repl,
+        )
     }
 
     /// Builds the testbed around any [`ServerHarness`] (used by the
@@ -1150,14 +1372,37 @@ impl TestbedBuilder {
         S: ServerHarness + 'static,
         F: FnOnce(&mut Fabric<WireMsg>, &mut FlashDevice, MachineId) -> S,
     {
+        let mut make = Some(make_server);
+        self.build_sites(
+            1,
+            |fabric, device, machine| (make.take().expect("one site"))(fabric, device, machine),
+            None,
+        )
+    }
+
+    fn build_sites<S, F>(
+        self,
+        n_sites: usize,
+        mut make_server: F,
+        repl: Option<ReplControl>,
+    ) -> Testbed<S>
+    where
+        S: ServerHarness + 'static,
+        F: FnMut(&mut Fabric<WireMsg>, &mut FlashDevice, MachineId) -> S,
+    {
         assert!(
             !self.client_stacks.is_empty(),
             "need at least one client machine"
         );
         let mut rng = SimRng::seed(self.seed);
         let mut fabric = Fabric::new(self.link, rng.fork());
-        let mut device = FlashDevice::new(self.device.clone(), rng.fork());
-        device.precondition();
+        let devices: Vec<FlashDevice> = (0..n_sites)
+            .map(|_| {
+                let mut device = FlashDevice::new(self.device.clone(), rng.fork());
+                device.precondition();
+                device
+            })
+            .collect();
         let clients: Vec<ClientMachine> = self
             .client_stacks
             .into_iter()
@@ -1166,50 +1411,36 @@ impl TestbedBuilder {
                 stack,
             })
             .collect();
-        let server_machine = fabric.add_machine(self.server_stack.clone());
-        let server = make_server(&mut fabric, &mut device, server_machine);
-        // Declare the physical topology: every client talks only to the
-        // server (clients ↔ ToR switch ↔ server, §5.1). The link accounting
-        // lets the sharded runner drop unlinked shard pairs from its
-        // rendezvous math instead of assuming a full mesh.
-        for c in &clients {
-            fabric.declare_link(c.machine, server_machine);
+        let mut sites = Vec::with_capacity(n_sites);
+        let mut first_thread = 0;
+        for mut device in devices {
+            let machine = fabric.add_machine(self.server_stack.clone());
+            let server = make_server(&mut fabric, &mut device, machine);
+            // Declare the physical topology: every client talks only to
+            // the servers (clients ↔ ToR switch ↔ server, §5.1). The link
+            // accounting lets the sharded runner drop unlinked shard pairs
+            // from its rendezvous math instead of assuming a full mesh.
+            for c in &clients {
+                fabric.declare_link(c.machine, machine);
+            }
+            let threads = server.max_threads();
+            sites.push(Site {
+                machine,
+                server: Some(server),
+                device: Some(device),
+                first_thread,
+                threads,
+            });
+            first_thread += threads;
         }
         // Windowed delivery is the testbed's delivery model: identical
         // semantics at one shard and at N, so splitting the world never
         // changes results.
         fabric.enable_windowed();
         let gen_seed = rng.next_u64();
-        let n_threads = server.max_threads();
-        let n_clients = clients.len();
         let world = World {
-            fabric,
-            device: Some(device),
-            server: Some(server),
-            server_machine,
-            route_table: HashMap::new(),
-            client_local: vec![true; n_clients],
-            gen_seed,
-            clients,
-            workloads: Vec::new(),
-            client_threads_busy: Vec::new(),
-            outstanding: SlabPool::new(),
-            poll_scratch: Vec::new(),
-            retries_pending: Vec::new(),
-            retry_scratch: Vec::new(),
-            thread_wake: vec![None; n_threads],
-            client_wake: vec![None; n_clients],
-            measure_start: None,
-            busy_snapshot: Vec::new(),
-            sched_snapshot: Vec::new(),
-            spent_snapshot: HashMap::new(),
-            gen_cursor: Vec::new(),
-            zipf: Vec::new(),
-            telemetry: Telemetry::disabled(),
-            split: false,
-            thread_local: vec![true; n_threads],
-            ledger: None,
-            dev_peers: Vec::new(),
+            repl,
+            ..World::new(fabric, sites, clients, gen_seed, Telemetry::disabled())
         };
         let mut engine = Engine::with_events(world);
         let interval = self.control_interval;
@@ -1414,6 +1645,11 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         self.engine.engine_mut(0).schedule_at(at, f);
     }
 
+    /// Schedules a typed event against the (shard 0) world at `at`.
+    pub(crate) fn schedule_event_at(&mut self, at: SimTime, event: WorldEvent) {
+        self.engine.engine_mut(0).schedule_event_at(at, event);
+    }
+
     /// Splits the simulated world by machine across up to `n` OS threads:
     /// shard 0 keeps the server (and the Flash device); client machines
     /// round-robin over the remaining shards. Shards advance in lockstep
@@ -1448,7 +1684,12 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             }
             return self;
         }
-        if !world0.server().supports_sharding() || world0.fabric.has_fault_hook() {
+        let shardable = world0
+            .sites
+            .iter()
+            .filter_map(|st| st.server.as_ref())
+            .all(|server| server.supports_sharding());
+        if !shardable || world0.fabric.has_fault_hook() {
             let clamp = if world0.fabric.has_fault_hook() {
                 ShardClamp::FaultHook
             } else {
@@ -1488,48 +1729,32 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             shard_of[c.machine.0 as usize] = 1 + i % (n_eff - 1);
         }
         let window = world.fabric.lookahead();
-        let mut server = world.server.take();
-        let mut device = world.device.take();
         let mut engines = Vec::with_capacity(n_eff);
         for s in 0..n_eff {
+            // Shard 0 takes every site's server and device (and the
+            // replica-set coordinator); client shards get empty sites.
+            let sites = world.sites.iter_mut().map(Site::take).collect();
             let shard_world = World {
-                fabric: world.fabric.split_for_shard(&shard_of, s),
-                device: if s == 0 { device.take() } else { None },
-                server: if s == 0 { server.take() } else { None },
-                server_machine: world.server_machine,
-                route_table: HashMap::new(),
                 client_local: world
                     .clients
                     .iter()
                     .map(|c| shard_of[c.machine.0 as usize] == s)
                     .collect(),
-                gen_seed: world.gen_seed,
-                clients: world.clients.clone(),
-                workloads: Vec::new(),
-                client_threads_busy: Vec::new(),
-                outstanding: SlabPool::new(),
-                poll_scratch: Vec::new(),
-                retries_pending: Vec::new(),
-                retry_scratch: Vec::new(),
-                thread_wake: vec![None; world.thread_wake.len()],
-                client_wake: vec![None; world.client_wake.len()],
-                measure_start: None,
-                busy_snapshot: Vec::new(),
-                sched_snapshot: Vec::new(),
-                spent_snapshot: HashMap::new(),
-                gen_cursor: Vec::new(),
-                zipf: Vec::new(),
-                telemetry: world.telemetry.clone(),
-                split: false,
                 // Machine-granular sharding: every thread lives with the
-                // server on shard 0.
+                // servers on shard 0.
                 thread_local: vec![s == 0; world.thread_wake.len()],
-                ledger: None,
-                dev_peers: Vec::new(),
+                repl: world.repl.take(),
+                ..World::new(
+                    world.fabric.split_for_shard(&shard_of, s),
+                    sites,
+                    world.clients.clone(),
+                    world.gen_seed,
+                    world.telemetry.clone(),
+                )
             };
             let mut eng = Engine::with_events(shard_world);
             if s == 0 {
-                // The control plane ticks with the server.
+                // The control plane ticks with the servers.
                 eng.schedule_event_at(
                     SimTime::ZERO + self.control_interval,
                     WorldEvent::Control(self.control_interval),
@@ -1587,7 +1812,12 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             world.workloads.is_empty(),
             "enable_split_dataplane must precede add_workload"
         );
-        let server_machine = world.server_machine;
+        assert_eq!(
+            world.sites.len(),
+            1,
+            "split-dataplane mode runs single-site testbeds"
+        );
+        let server_machine = world.sites[0].machine;
         let max_threads = world.server().max_threads();
         let reason = if !world.server().supports_split() {
             Some(SplitFallback::ServerUnsupported)
@@ -1679,8 +1909,9 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             .collect();
         let t_shards = n_eff.min(n_threads);
         let window = world.fabric.lookahead();
-        let server0 = world.server.take().expect("split testbed holds the server");
-        let device0 = world.device.take().expect("split testbed holds the device");
+        let site0 = world.sites[0].take();
+        let server0 = site0.server.expect("split testbed holds the server");
+        let device0 = site0.device.expect("split testbed holds the device");
         let ledger0 = world.ledger.take().expect("split mode installed a ledger");
         let active = server0.active_threads();
 
@@ -1716,38 +1947,17 @@ impl<S: ServerHarness + 'static> Testbed<S> {
 
         let mut engines = Vec::with_capacity(n_eff);
         for s in 0..n_eff {
-            let shard_world = World {
-                fabric: world.fabric.split_for_shard_with_queues(
-                    &shard_of,
-                    s,
-                    Some((world.server_machine, queue_map.clone())),
-                ),
-                device: devices[s].take(),
+            let site = Site {
                 server: servers[s].take(),
-                server_machine: world.server_machine,
-                route_table: HashMap::new(),
+                device: devices[s].take(),
+                ..world.sites[0].take()
+            };
+            let shard_world = World {
                 client_local: world
                     .clients
                     .iter()
                     .map(|c| shard_of[c.machine.0 as usize] == s)
                     .collect(),
-                gen_seed: world.gen_seed,
-                clients: world.clients.clone(),
-                workloads: Vec::new(),
-                client_threads_busy: Vec::new(),
-                outstanding: SlabPool::new(),
-                poll_scratch: Vec::new(),
-                retries_pending: Vec::new(),
-                retry_scratch: Vec::new(),
-                thread_wake: vec![None; max_threads],
-                client_wake: vec![None; world.client_wake.len()],
-                measure_start: None,
-                busy_snapshot: Vec::new(),
-                sched_snapshot: Vec::new(),
-                spent_snapshot: HashMap::new(),
-                gen_cursor: Vec::new(),
-                zipf: Vec::new(),
-                telemetry: world.telemetry.clone(),
                 split: true,
                 thread_local: (0..max_threads)
                     .map(|i| i < n_threads && owner(i) == s)
@@ -1758,6 +1968,17 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 } else {
                     Vec::new()
                 },
+                ..World::new(
+                    world.fabric.split_for_shard_with_queues(
+                        &shard_of,
+                        s,
+                        Some((site.machine, queue_map.clone())),
+                    ),
+                    vec![site],
+                    world.clients.clone(),
+                    world.gen_seed,
+                    world.telemetry.clone(),
+                )
             };
             let mut eng = Engine::with_events(shard_world);
             if s < t_shards {
@@ -1788,17 +2009,46 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     ///
     /// See [`TestbedError`].
     pub fn add_workload(&mut self, spec: WorkloadSpec) -> Result<(), TestbedError> {
+        self.register(spec, None)
+    }
+
+    /// Registers a replicated workload on a testbed built with
+    /// [`TestbedBuilder::build_replicated`]: the coordinator places its
+    /// replica set, every member site admits the tenant and binds its own
+    /// `spec.conns` connections, and the open-loop generator starts. Every
+    /// write fans out to all members and completes on a majority of acks;
+    /// reads follow `policy`.
+    ///
+    /// # Errors
+    ///
+    /// See [`TestbedError`]. Replicated workloads must be open-loop
+    /// latency-critical tenants with a per-attempt `retry.timeout`. An
+    /// admission failure partway through leaves the tenant registered on
+    /// earlier members (the builder-phase API does not roll back).
+    pub fn add_replicated(
+        &mut self,
+        spec: WorkloadSpec,
+        policy: ReadPolicy,
+    ) -> Result<(), TestbedError> {
+        self.register(spec, Some(policy))
+    }
+
+    fn register(
+        &mut self,
+        spec: WorkloadSpec,
+        policy: Option<ReadPolicy>,
+    ) -> Result<(), TestbedError> {
         let mut spec = spec;
         spec.validate().map_err(TestbedError::InvalidSpec)?;
         let shards = self.engine.shards();
         // Validation and tenant/connection registration run against the
-        // server's shard (shard 0 — the only shard in a single-shard run).
+        // servers' shard (shard 0 — the only shard in a single-shard run).
         let world = self.engine.engine_mut(0).world_mut();
         if spec.client_machine >= world.clients.len() {
             return Err(TestbedError::NoSuchClient(spec.client_machine));
         }
         // Clamp the namespace to the device capacity so default specs work
-        // on any profile.
+        // on any profile (every site runs the same profile).
         let capacity = world.device().profile().capacity_bytes;
         if spec.namespace.0 >= capacity {
             return Err(TestbedError::InvalidSpec(
@@ -1813,32 +2063,29 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             allow_write: true,
             allowed_clients: None,
         };
-        if spec.shards > 1 {
-            // Sharded registration goes through the concrete ReFlex path;
-            // harness servers without sharding treat it as an error.
-            world.server_mut().register_tenant_sharded(
-                spec.tenant,
-                spec.class,
-                acl.clone(),
-                spec.io_size,
-                spec.shards,
-            )?;
-        } else {
-            world.server_mut().register_tenant(
-                spec.tenant,
-                spec.class,
-                acl.clone(),
-                spec.io_size,
-            )?;
-        }
-        // Latency-critical tenants get an SLO monitor entry keyed on their
-        // p95 read-latency target (no-op while telemetry is disabled).
-        if let Some(slo) = spec.class.slo() {
-            world
-                .telemetry
-                .slo_register(TenantKey(spec.tenant.0), slo.p95_read_latency);
-        }
-
+        let member_sites: Vec<usize> = match policy {
+            None => vec![0],
+            Some(_) => {
+                let (Some(slo), LoadPattern::OpenLoop { .. }, None, Some(_)) = (
+                    spec.class.slo(),
+                    spec.pattern,
+                    &spec.trace,
+                    spec.retry.timeout,
+                ) else {
+                    return Err(TestbedError::InvalidSpec(
+                        "replicated workloads are open-loop LC tenants with a per-attempt \
+                         retry.timeout"
+                            .into(),
+                    ));
+                };
+                let ctl = world
+                    .repl
+                    .as_mut()
+                    .ok_or_else(|| TestbedError::InvalidSpec("testbed is not replicated".into()))?;
+                let set = ctl.coord.place(spec.tenant, *slo)?;
+                set.members.iter().map(|sid| sid.0 as usize).collect()
+            }
+        };
         let client_machine = world.clients[spec.client_machine].machine;
         let w_idx = world.workloads.len();
         // Each workload draws from its own RNG stream, keyed by its stable
@@ -1846,18 +2093,48 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         // event interleaving, so sharded runs replay the same sequences.
         let mut state =
             WorkloadState::new(spec.clone(), SimRng::stream(world.gen_seed, w_idx as u64));
-        let mut routes = Vec::with_capacity(spec.conns as usize);
-        for i in 0..spec.conns {
-            let conn = world.fabric.new_conn();
+        state.read_policy = policy;
+        state.seq_cursor = vec![0; spec.conns as usize];
+        let mut routes = Vec::with_capacity(spec.conns as usize * member_sites.len());
+        for &site in &member_sites {
+            let server = world.sites[site]
+                .server
+                .as_mut()
+                .expect("shard 0 holds the servers");
+            if spec.shards > 1 {
+                // Sharded registration goes through the concrete ReFlex
+                // path; harness servers without sharding treat it as an
+                // error.
+                server.register_tenant_sharded(
+                    spec.tenant,
+                    spec.class,
+                    acl.clone(),
+                    spec.io_size,
+                    spec.shards,
+                )?;
+            } else {
+                server.register_tenant(spec.tenant, spec.class, acl.clone(), spec.io_size)?;
+            }
+            let mut conns = Vec::with_capacity(spec.conns as usize);
+            for _ in 0..spec.conns {
+                let conn = world.fabric.new_conn();
+                let server = world.sites[site].server.as_mut().expect("server shard");
+                server.bind_connection(conn, spec.tenant, client_machine)?;
+                routes.push((conn, server.route(conn).unwrap_or_default()));
+                conns.push(conn);
+            }
+            state.members.push(MemberLink {
+                site,
+                conns,
+                resyncing: false,
+            });
+        }
+        // Latency-critical tenants get an SLO monitor entry keyed on their
+        // p95 read-latency target (no-op while telemetry is disabled).
+        if let Some(slo) = spec.class.slo() {
             world
-                .server_mut()
-                .bind_connection(conn, spec.tenant, client_machine)
-                .map_err(TestbedError::Admission)?;
-            let queue = world.server().route(conn).unwrap_or_default();
-            routes.push((conn, queue));
-            state.conns.push(conn);
-            state.conn_thread.push(i % spec.client_threads);
-            state.seq_cursor.push(0);
+                .telemetry
+                .slo_register(TenantKey(spec.tenant.0), slo.p95_read_latency);
         }
         let zipf = match spec.addr_pattern {
             AddrPattern::Zipfian { theta_permille } => {
@@ -1886,12 +2163,12 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         for s in 0..shards {
             let w = self.engine.engine_mut(s).world_mut();
             debug_assert_eq!(w.workloads.len(), w_idx);
-            if s > 0 && w.server.is_some() {
+            if let Some(server) = w.sites[0].server.as_mut().filter(|_| s > 0) {
                 // Split replicas replay registration and binding so every
                 // shard's placement bookkeeping (and conn → thread routes)
                 // matches shard 0 bit for bit — placement is deterministic.
                 if spec.shards > 1 {
-                    w.server_mut().register_tenant_sharded(
+                    server.register_tenant_sharded(
                         spec.tenant,
                         spec.class,
                         acl.clone(),
@@ -1899,17 +2176,10 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                         spec.shards,
                     )?;
                 } else {
-                    w.server_mut().register_tenant(
-                        spec.tenant,
-                        spec.class,
-                        acl.clone(),
-                        spec.io_size,
-                    )?;
+                    server.register_tenant(spec.tenant, spec.class, acl.clone(), spec.io_size)?;
                 }
                 for &(conn, queue) in &routes {
-                    let (_, q) =
-                        w.server_mut()
-                            .bind_connection(conn, spec.tenant, client_machine)?;
+                    let (_, q) = server.bind_connection(conn, spec.tenant, client_machine)?;
                     debug_assert_eq!(q, queue, "replica placement diverged from shard 0");
                 }
             }
@@ -1918,9 +2188,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             w.client_threads_busy
                 .push(vec![SimTime::ZERO; spec.client_threads as usize]);
             w.gen_cursor.push(0);
-            for &(conn, queue) in &routes {
-                w.route_table.insert(conn, queue);
-            }
+            w.route_table.extend(routes.iter().copied());
         }
         // The generator runs on the shard simulating the client machine.
         let owner = (0..shards)
@@ -1977,7 +2245,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             for w in &mut world.workloads {
                 w.reset_measurement();
             }
-            if let Some(server) = world.server.as_ref() {
+            if let Some(server) = world.sites[0].server.as_ref() {
                 world.busy_snapshot = (0..server.max_threads())
                     .map(|i| server.busy_time(i))
                     .collect();
@@ -2016,7 +2284,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             let mut lease_posts: Vec<(usize, Vec<LeaseEntry>)> = Vec::new();
             for s in 0..shards {
                 let w = self.engine.engine_mut(s).world_mut();
-                if let Some(device) = w.device.as_mut() {
+                if let Some(device) = w.sites[0].device.as_mut() {
                     let cmds = device.take_staged_outbound();
                     if !cmds.is_empty() {
                         dev_posts.push((s, cmds));
@@ -2034,12 +2302,13 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             }
             for s in 0..shards {
                 let w = self.engine.engine_mut(s).world_mut();
-                if w.server.is_none() {
+                if w.sites[0].server.is_none() {
                     continue;
                 }
                 for (from, cmds) in &dev_posts {
                     if *from != s {
-                        w.device
+                        w.sites[0]
+                            .device
                             .as_mut()
                             .expect("thread shards hold a device")
                             .accept_staged(cmds);
@@ -2059,7 +2328,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         }
         for s in 0..shards {
             let w = self.engine.engine_mut(s).world_mut();
-            if let Some(device) = w.device.as_mut() {
+            if let Some(device) = w.sites[0].device.as_mut() {
                 device.observe(now);
             }
             if let Some(ledger) = &w.ledger {
@@ -2137,7 +2406,9 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             // (shard 0 unless split-dataplane distributed them).
             let tw = (0..shards)
                 .map(|s| self.engine.engine(s).world())
-                .find(|w| w.server.is_some() && w.thread_local.get(i).copied().unwrap_or(false))
+                .find(|w| {
+                    w.sites[0].server.is_some() && w.thread_local.get(i).copied().unwrap_or(false)
+                })
                 .unwrap_or(world);
             let server = tw.server();
             let busy0 = tw
@@ -2163,7 +2434,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         let mut spent_delta = 0i64;
         for s in 0..shards {
             let w = self.engine.engine(s).world();
-            let Some(server) = w.server.as_ref() else {
+            let Some(server) = w.sites[0].server.as_ref() else {
                 continue;
             };
             for (id, now_mt) in server.tenants_spent_millitokens() {
@@ -2179,7 +2450,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         let renegotiations = if self.split {
             let mut flagged: Vec<TenantId> = Vec::new();
             for s in 0..shards {
-                if let Some(server) = self.engine.engine(s).world().server.as_ref() {
+                if let Some(server) = self.engine.engine(s).world().sites[0].server.as_ref() {
                     for id in server.renegotiations() {
                         if !flagged.contains(&id) {
                             flagged.push(id);
@@ -2234,18 +2505,24 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             }
             let world = eng.world_mut();
             world.fabric.set_telemetry(telemetry.clone());
-            if let Some(device) = world.device.as_mut() {
-                // Device replicas (split mode, s > 0) apply *every* command
-                // to stay bit-identical, so only shard 0's device records —
-                // anything else would double-count per replica.
-                if s == 0 {
-                    device.set_telemetry(telemetry.clone());
-                } else {
-                    device.set_telemetry(Telemetry::disabled());
+            for site in &mut world.sites {
+                if let Some(device) = site.device.as_mut() {
+                    // Device replicas (split mode, s > 0) apply *every*
+                    // command to stay bit-identical, so only shard 0's
+                    // devices record — anything else would double-count
+                    // per replica.
+                    if s == 0 {
+                        device.set_telemetry(telemetry.clone());
+                    } else {
+                        device.set_telemetry(Telemetry::disabled());
+                    }
+                }
+                if let Some(server) = site.server.as_mut() {
+                    server.set_telemetry(telemetry.clone());
                 }
             }
-            if let Some(server) = world.server.as_mut() {
-                server.set_telemetry(telemetry.clone());
+            if let Some(ctl) = world.repl.as_mut() {
+                ctl.coord.set_telemetry(telemetry.clone());
             }
             world.telemetry = telemetry.clone();
         }

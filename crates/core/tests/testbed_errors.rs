@@ -1,6 +1,6 @@
 //! Error paths of the testbed and server configuration.
 
-use reflex_core::{LoadPattern, Testbed, TestbedError, WorkloadSpec};
+use reflex_core::{LoadPattern, ReadPolicy, RetryPolicy, Testbed, TestbedError, WorkloadSpec};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::SimDuration;
 
@@ -109,4 +109,38 @@ fn error_display_is_informative() {
         .unwrap_err()
         .to_string();
     assert!(msg.contains("tokens/s"), "unhelpful admission error: {msg}");
+}
+
+#[test]
+fn replicated_workloads_need_a_replicated_testbed_and_a_deadline() {
+    let slo = SloSpec::new(10_000, 70, SimDuration::from_micros(800));
+    let lc = || {
+        WorkloadSpec::open_loop("r", TenantId(1), TenantClass::LatencyCritical(slo), 5_000.0)
+            .with_retry(RetryPolicy::standard())
+    };
+    let reason = |r: Result<(), TestbedError>| match r {
+        Err(TestbedError::InvalidSpec(why)) => why,
+        other => panic!("expected InvalidSpec, got {other:?}"),
+    };
+
+    let mut single = Testbed::builder().seed(4).build();
+    assert!(reason(single.add_replicated(lc(), ReadPolicy::Quorum)).contains("not replicated"));
+
+    let mut tb = Testbed::builder().build_replicated(3, 3, SimDuration::from_millis(30), 1e9);
+    let no_deadline = lc().with_retry(RetryPolicy::disabled());
+    assert!(reason(tb.add_replicated(no_deadline, ReadPolicy::Primary)).contains("retry.timeout"));
+    let best_effort = WorkloadSpec {
+        class: TenantClass::BestEffort,
+        ..lc()
+    };
+    assert!(reason(tb.add_replicated(best_effort, ReadPolicy::Primary)).contains("LC"));
+    let closed = WorkloadSpec {
+        pattern: LoadPattern::ClosedLoop { queue_depth: 1 },
+        ..lc()
+    };
+    assert!(reason(tb.add_replicated(closed, ReadPolicy::Primary)).contains("open-loop"));
+
+    tb.add_replicated(lc(), ReadPolicy::Quorum)
+        .expect("a valid replicated workload is placed");
+    assert_eq!(tb.world().member_sites(0).len(), 3);
 }

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use reflex_core::{ReflexServer, Testbed, World};
+use reflex_sim::SimDuration;
 
 use crate::hooks::{PlannedDeviceHook, PlannedNetHook};
 use crate::plan::{FaultKind, FaultPlan};
@@ -10,33 +11,54 @@ use crate::stats::FaultStats;
 
 /// Installs `plan` into `tb`: arms the device and fabric fault hooks for
 /// the windowed faults and schedules the discrete ones (link flaps,
-/// thread stalls) as engine events. Returns the shared counter handle.
+/// thread stalls, server deaths) as engine events. Returns the shared
+/// counter handle.
 ///
 /// Installing [`FaultPlan::none`] (or any empty plan) arms nothing — the
 /// run is byte-identical to one without fault injection.
 ///
+/// A [`FaultKind::ServerDeath`] kills one site of a multi-site
+/// (replicated) testbed whole: its device aborts every queued and future
+/// command, its links go dark for the rest of the run (messages in
+/// either direction are black-holed at send time, so they never count as
+/// submitted work), and the coordinator fails over one detection delay
+/// later. Device, thread and link-flap faults target site 0.
+///
 /// # Panics
 ///
 /// Panics if a [`FaultKind::LinkFlap`] names a client index outside
-/// `tb.world().client_count()`, or on a [`FaultKind::ServerDeath`] —
-/// killing a whole server only makes sense on the multi-server
-/// replication testbed (`reflex-replication`), which has its own
-/// installer. A [`FaultKind::ThreadStall`] naming an inactive thread
+/// `tb.world().client_count()`; if a [`FaultKind::ServerDeath`] names a
+/// site outside the testbed or is installed on a one-site testbed (kill
+/// its device with [`FaultKind::DeviceDeath`] instead); or on a
+/// multi-site testbed that is already sharded (fault campaigns are
+/// single-shard). A [`FaultKind::ThreadStall`] naming an inactive thread
 /// panics later, when the event fires.
 pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultStats> {
     let stats = Arc::new(FaultStats::default());
-    let mut dev = PlannedDeviceHook::new(Arc::clone(&stats));
+    let n_sites = tb.world().site_count();
+    if n_sites > 1 {
+        assert_eq!(
+            tb.shards(),
+            1,
+            "fault campaigns are single-shard: install before with_shards"
+        );
+    }
+    // One device hook per site; every device-scoped fault but a server
+    // death lands on site 0.
+    let mut dev: Vec<PlannedDeviceHook> = (0..n_sites)
+        .map(|_| PlannedDeviceHook::new(Arc::clone(&stats)))
+        .collect();
     let mut net = PlannedNetHook::new(Arc::clone(&stats));
     for ev in &plan.events {
         let seed = plan.stream_seed(ev.id);
         match ev.kind {
             FaultKind::TransientDeviceErrors { rate, duration } => {
-                dev.add_transient(ev.at, duration, rate, seed);
+                dev[0].add_transient(ev.at, duration, rate, seed);
             }
             FaultKind::GcStorm { extra, duration } => {
-                dev.add_gc_storm(ev.at, duration, extra);
+                dev[0].add_gc_storm(ev.at, duration, extra);
             }
-            FaultKind::DeviceDeath => dev.set_death(ev.at),
+            FaultKind::DeviceDeath => dev[0].set_death(ev.at),
             FaultKind::PacketLoss { rate, duration } => {
                 net.add_loss(ev.at, duration, rate, seed);
             }
@@ -86,15 +108,29 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
                 });
             }
             FaultKind::ServerDeath { server } => {
-                panic!(
-                    "ServerDeath of site {server} needs a multi-server testbed: \
-                     install the plan through reflex-replication's ReplTestbed"
+                assert!(
+                    n_sites > 1,
+                    "ServerDeath kills one site of a multi-site testbed, but this testbed \
+                     has a single server; use DeviceDeath to kill its device"
                 );
+                assert!(
+                    server < n_sites,
+                    "ServerDeath names site {server} but the testbed has {n_sites}"
+                );
+                dev[server].set_death(ev.at);
+                let machine = tb.world().site_machine(server);
+                net.add_link_down(ev.at, SimDuration::from_secs_f64(3600.0), machine);
+                let detect = tb.schedule_server_death(server, ev.at);
+                stats.add_downtime(detect);
             }
         }
     }
-    if dev.is_armed() {
-        tb.world_mut().device_mut().set_fault_hook(Box::new(dev));
+    for (site, hook) in dev.into_iter().enumerate() {
+        if hook.is_armed() {
+            tb.world_mut()
+                .site_device_mut(site)
+                .set_fault_hook(Box::new(hook));
+        }
     }
     if net.is_armed() {
         tb.world_mut().fabric_mut().set_fault_hook(Box::new(net));
@@ -105,7 +141,7 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reflex_sim::{SimDuration, SimTime};
+    use reflex_sim::SimTime;
 
     #[test]
     fn empty_plan_installs_nothing() {
@@ -150,6 +186,48 @@ mod tests {
                 down_for: SimDuration::from_millis(1),
             },
         );
+        let _ = install(&plan, &mut tb);
+    }
+
+    fn replicated(sites: usize) -> Testbed<ReflexServer> {
+        Testbed::builder().build_replicated(sites, sites.min(3), SimDuration::from_millis(30), 1e9)
+    }
+
+    #[test]
+    fn server_death_arms_the_victim_site_only() {
+        let mut tb = replicated(3);
+        let telemetry = tb.enable_telemetry();
+        let plan = FaultPlan::seeded(1).with_event(
+            SimTime::ZERO + SimDuration::from_millis(1),
+            FaultKind::ServerDeath { server: 1 },
+        );
+        let stats = install(&plan, &mut tb);
+        assert_eq!(stats.snapshot().downtime, SimDuration::from_millis(30));
+        tb.run(SimDuration::from_millis(5));
+        let deaths = telemetry.snapshot().expect("enabled").counters["replication.server_deaths"];
+        assert_eq!(deaths, 1);
+        let world = tb.world_mut();
+        assert!(world.site_device_mut(1).clear_fault_hook().is_some());
+        assert!(world.site_device_mut(0).clear_fault_hook().is_none());
+        assert!(world.site_device_mut(2).clear_fault_hook().is_none());
+        assert!(world.fabric_mut().clear_fault_hook().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "has a single server")]
+    fn server_death_on_a_single_site_testbed_panics() {
+        let mut tb = Testbed::builder().server_threads(1).build();
+        let plan =
+            FaultPlan::seeded(1).with_event(SimTime::ZERO, FaultKind::ServerDeath { server: 0 });
+        let _ = install(&plan, &mut tb);
+    }
+
+    #[test]
+    #[should_panic(expected = "names site 7 but the testbed has 3")]
+    fn server_death_bounds_checked_at_install() {
+        let mut tb = replicated(3);
+        let plan =
+            FaultPlan::seeded(1).with_event(SimTime::ZERO, FaultKind::ServerDeath { server: 7 });
         let _ = install(&plan, &mut tb);
     }
 }

@@ -18,10 +18,15 @@
 //!   survivors) and starts a timed re-sync. The replacement serves
 //!   writes immediately and becomes read-eligible when re-sync ends.
 //!
-//! The data path reuses the zero-alloc idioms of the single-server
-//! client: fan-out state lives in generation-checked slab pools and the
-//! sub-request slab key *is* the wire cookie, so responses, duplicates,
-//! timeouts and stale retries all resolve by index.
+//! The data path is reflex-core's own testbed world in its N-site mode
+//! ([`reflex_core::TestbedBuilder::build_replicated`]): the same wakes,
+//! polling, typed canonical `RetryFire` retry drain and
+//! poll-before-timeout rule as a single-server run. Fan-out state lives
+//! in generation-checked slab pools and each sub-request's slab key *is*
+//! the wire cookie, so responses, duplicates, timeouts and stale retries
+//! all resolve by index with no per-IO allocation. This crate adds the
+//! declarative [`ReplWorkloadSpec`], the [`ReplTestbed`] builder facade
+//! and the [`ReplReport`] with its failover timeline.
 //!
 //! Determinism: runs are byte-identical at any `with_shards` count
 //! (fault campaigns pin to a single shard, exactly like the core
@@ -48,14 +53,11 @@
 //! ```
 
 mod spec;
-mod state;
 mod testbed;
-mod world;
 
 pub use spec::ReplWorkloadSpec;
 pub use testbed::{ReplError, ReplReport, ReplTestbed, ReplTestbedBuilder};
-pub use world::{ReplEvent, ReplWorld, TenantRecovery};
 
-// Re-exported so callers of this crate can name the policy and quorum
-// math without depending on reflex-core directly.
-pub use reflex_core::{quorum, ReadPolicy, MAX_REPLICAS};
+// Re-exported so callers of this crate can name the policy, quorum math
+// and failover records without depending on reflex-core directly.
+pub use reflex_core::{quorum, ReadPolicy, TenantRecovery, MAX_REPLICAS};

@@ -1,62 +1,24 @@
-//! Assembling a replicated testbed: N server sites, client machines, the
-//! replica-set coordinator, and the fault installer that drives failover.
+//! The replicated testbed: a thin builder and report over reflex-core's
+//! [`Testbed`] in its N-site mode.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use reflex_core::{
-    AdmissionError, CapacityProfile, ClusterPlanner, PlacementError, ReflexServer, ReplicaSets,
-    ServerConfig, ServerDescriptor, ServerHarness, ServerId, WorkloadReport,
+    AddrPattern, LoadPattern, MixProcess, ReflexServer, ServerConfig, TenantRecovery, Testbed,
+    TestbedError, WorkloadReport, WorkloadSpec, World,
 };
-use reflex_dataplane::AclEntry;
-use reflex_faults::{FaultKind, FaultPlan, FaultStats, PlannedDeviceHook, PlannedNetHook};
-use reflex_flash::{DeviceProfile, FlashDevice};
-use reflex_net::{Fabric, LinkConfig, StackProfile};
-use reflex_qos::{CostModel, TenantClass};
-use reflex_sim::{Engine, ShardedEngine, SimDuration, SimRng, SimTime, SlabPool};
-use reflex_telemetry::{Telemetry, TelemetrySnapshot, TenantKey};
+use reflex_faults::{FaultPlan, FaultStats};
+use reflex_flash::DeviceProfile;
+use reflex_net::{LinkConfig, StackProfile};
+use reflex_qos::TenantClass;
+use reflex_sim::{SimDuration, SimTime};
+use reflex_telemetry::{Telemetry, TelemetrySnapshot};
 
 use crate::spec::ReplWorkloadSpec;
-use crate::state::ReplState;
-use crate::world::{ClientMachine, MemberLink, ReplEvent, ReplWorld, SiteState, TenantRecovery};
 
-/// Errors from [`ReplTestbed::add_workload`].
-#[derive(Debug)]
-pub enum ReplError {
-    /// The spec failed validation.
-    InvalidSpec(String),
-    /// The spec names a client machine that does not exist.
-    NoSuchClient(usize),
-    /// The coordinator could not place the replica set.
-    Placement(PlacementError),
-    /// A member server rejected the tenant or a connection.
-    Admission(AdmissionError),
-}
-
-impl std::fmt::Display for ReplError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplError::InvalidSpec(why) => write!(f, "invalid workload spec: {why}"),
-            ReplError::NoSuchClient(idx) => write!(f, "no client machine {idx}"),
-            ReplError::Placement(e) => write!(f, "replica placement failed: {e}"),
-            ReplError::Admission(e) => write!(f, "admission failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ReplError {}
-
-impl From<PlacementError> for ReplError {
-    fn from(e: PlacementError) -> Self {
-        ReplError::Placement(e)
-    }
-}
-
-impl From<AdmissionError> for ReplError {
-    fn from(e: AdmissionError) -> Self {
-        ReplError::Admission(e)
-    }
-}
+/// Errors from [`ReplTestbed::add_workload`] (the core testbed's errors:
+/// invalid spec, unknown client, replica placement, admission).
+pub type ReplError = TestbedError;
 
 /// The measurement report of a replicated run.
 #[derive(Debug)]
@@ -96,8 +58,6 @@ pub struct ReplTestbedBuilder {
     device: DeviceProfile,
     link: LinkConfig,
     client_stacks: Vec<StackProfile>,
-    server_stack: StackProfile,
-    control_interval: SimDuration,
     detect_delay: SimDuration,
     resync_bytes_per_sec: f64,
     seed: u64,
@@ -111,8 +71,6 @@ impl Default for ReplTestbedBuilder {
             device: reflex_flash::device_a(),
             link: LinkConfig::default(),
             client_stacks: vec![StackProfile::ix_tcp()],
-            server_stack: StackProfile::dataplane_raw(),
-            control_interval: SimDuration::from_millis(10),
             detect_delay: SimDuration::from_millis(30),
             // Background re-sync copies at 2 GiB/s — a deliberately
             // throttled fraction of device bandwidth so re-sync does not
@@ -178,7 +136,9 @@ impl ReplTestbedBuilder {
         self
     }
 
-    /// Builds the testbed.
+    /// Builds the testbed: one single-thread ReFlex server per site, no
+    /// auto-scaling, so routes never rebalance at runtime and sharded
+    /// runs stay byte-identical.
     ///
     /// # Panics
     ///
@@ -186,129 +146,31 @@ impl ReplTestbedBuilder {
     /// factor is 0, exceeds [`reflex_core::MAX_REPLICAS`], or exceeds the
     /// site count.
     pub fn build(self) -> ReplTestbed {
-        assert!(
-            !self.client_stacks.is_empty(),
-            "need at least one client machine"
-        );
-        assert!(
-            self.replication >= 1 && self.replication <= self.sites,
-            "replication factor {} needs at least that many sites (have {})",
-            self.replication,
-            self.sites
-        );
-        assert!(
-            self.resync_bytes_per_sec > 0.0,
-            "re-sync bandwidth must be positive"
-        );
-        let mut rng = SimRng::seed(self.seed);
-        let mut fabric = Fabric::new(self.link, rng.fork());
-        // Clients first, then the sites — same machine-id order as the
-        // single-server testbed, so seeds stay comparable.
-        let clients: Vec<ClientMachine> = self
-            .client_stacks
-            .into_iter()
-            .map(|stack| ClientMachine {
-                machine: fabric.add_machine(stack.clone()),
-                stack,
+        let tb = Testbed::builder()
+            .device(self.device)
+            .link(self.link)
+            .client_machines(self.client_stacks)
+            .server(ServerConfig {
+                threads: 1,
+                max_threads: 1,
+                auto_scale: false,
+                ..ServerConfig::default()
             })
-            .collect();
-        let cost = CostModel::for_profile(&self.device);
-        let capacity = CapacityProfile::for_profile(&self.device);
-        // One dataplane thread per site, no auto-scaling: routes never
-        // rebalance at runtime, which keeps sharded runs byte-identical
-        // (mirrors `ServerHarness::supports_sharding`).
-        let server_cfg = ServerConfig {
-            threads: 1,
-            max_threads: 1,
-            auto_scale: false,
-            ..ServerConfig::default()
-        };
-        let mut sites = Vec::with_capacity(self.sites);
-        let mut site_machines = Vec::with_capacity(self.sites);
-        let mut descriptors = Vec::with_capacity(self.sites);
-        for s in 0..self.sites {
-            let machine = fabric.add_machine(self.server_stack.clone());
-            let mut device = FlashDevice::new(self.device.clone(), rng.fork());
-            device.precondition();
-            let server = ReflexServer::new(
-                machine,
-                &mut fabric,
-                &mut device,
-                cost.clone(),
-                capacity.clone(),
-                server_cfg.clone(),
-                SimTime::ZERO,
-            );
-            for c in &clients {
-                fabric.declare_link(c.machine, machine);
-            }
-            descriptors.push(ServerDescriptor::new(
-                ServerId(s as u32),
-                capacity.clone(),
-                cost.clone(),
-            ));
-            site_machines.push(machine);
-            sites.push(Some(SiteState { server, device }));
-        }
-        fabric.enable_windowed();
-        let gen_seed = rng.next_u64();
-        let n_sites = sites.len();
-        let n_clients = clients.len();
-        let world = ReplWorld {
-            fabric,
-            sites,
-            site_machines,
-            alive: vec![true; n_sites],
-            death_at: vec![None; n_sites],
-            coord: Some(ReplicaSets::new(
-                ClusterPlanner::new(descriptors),
+            .seed(self.seed)
+            .build_replicated(
+                self.sites,
                 self.replication,
-            )),
-            route_table: HashMap::new(),
-            client_local: vec![true; n_clients],
-            gen_seed,
-            clients,
-            workloads: Vec::new(),
-            client_threads_busy: Vec::new(),
-            ops: SlabPool::new(),
-            subs: SlabPool::new(),
-            poll_scratch: Vec::new(),
-            site_wake: vec![None; n_sites],
-            client_wake: vec![None; n_clients],
-            measure_start: None,
-            detect_delay: self.detect_delay,
-            resync_bytes_per_sec: self.resync_bytes_per_sec,
-            timeline: Vec::new(),
-            telemetry: Telemetry::disabled(),
-        };
-        let mut engine = Engine::with_events(world);
-        let interval = self.control_interval;
-        engine.schedule_event_at(SimTime::ZERO + interval, ReplEvent::Control(interval));
-        ReplTestbed {
-            engine: ShardedEngine::single(engine),
-            measure_begin: SimTime::ZERO,
-            control_interval: interval,
-            owner: Vec::new(),
-        }
+                self.detect_delay,
+                self.resync_bytes_per_sec,
+            );
+        ReplTestbed { tb }
     }
 }
 
 /// The assembled replicated simulation. See the crate documentation.
+#[derive(Debug)]
 pub struct ReplTestbed {
-    engine: ShardedEngine<ReplWorld, ReplEvent>,
-    measure_begin: SimTime,
-    control_interval: SimDuration,
-    /// Shard that owns each workload's generator, in registration order.
-    owner: Vec<usize>,
-}
-
-impl std::fmt::Debug for ReplTestbed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplTestbed")
-            .field("shards", &self.engine.shards())
-            .field("now", &self.engine.now())
-            .finish()
-    }
+    tb: Testbed<ReflexServer>,
 }
 
 impl ReplTestbed {
@@ -319,131 +181,43 @@ impl ReplTestbed {
 
     /// Current simulated instant.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.tb.now()
     }
 
     /// Number of shards the simulation runs on.
     pub fn shards(&self) -> usize {
-        self.engine.shards()
+        self.tb.shards()
     }
 
     /// Shared access to the world (shard 0 — the sites' shard).
-    pub fn world(&self) -> &ReplWorld {
-        self.engine.engine(0).world()
+    pub fn world(&self) -> &World {
+        self.tb.world()
     }
 
     /// Exclusive access to the world (shard 0 when sharded).
-    pub fn world_mut(&mut self) -> &mut ReplWorld {
-        self.engine.engine_mut(0).world_mut()
+    pub fn world_mut(&mut self) -> &mut World {
+        self.tb.world_mut()
     }
 
     /// Site indices of workload `w_idx`'s current members, slot order
     /// (membership changes only via failover, which runs on shard 0).
     pub fn member_sites(&self, w_idx: usize) -> Vec<usize> {
-        self.engine.engine(0).world().member_sites(w_idx)
+        self.tb.world().member_sites(w_idx)
     }
 
-    /// Splits the world by machine across up to `n` OS threads: shard 0
-    /// keeps every server site (and the coordinator); client machines
-    /// round-robin over the remaining shards. Same conservative-PDES
-    /// machinery as the core testbed — results are **byte-identical** to
-    /// the single-shard run.
-    ///
-    /// Silently stays single-shard when `n <= 1`, when there are no
-    /// client machines to split off, or when a network fault hook is
-    /// installed (fault campaigns are single-shard — which also means a
-    /// failover only ever mutates membership where generators run).
+    /// Splits the world by machine across up to `n` OS threads exactly
+    /// like [`Testbed::with_shards`]: shard 0 keeps every server site and
+    /// the coordinator, and results are byte-identical to the
+    /// single-shard run.
     ///
     /// # Panics
     ///
     /// Panics if called after a workload was added or after the
     /// simulation has started running.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        let world0 = self.engine.engine(0).world();
-        let n_clients = world0.clients.len();
-        let n_eff = 1 + n.saturating_sub(1).min(n_clients);
-        if self.engine.shards() != 1 || n_eff <= 1 {
-            return self;
+    pub fn with_shards(self, n: usize) -> Self {
+        ReplTestbed {
+            tb: self.tb.with_shards(n),
         }
-        let shardable = world0
-            .sites
-            .iter()
-            .flatten()
-            .all(|st| st.server.supports_sharding());
-        if !shardable || world0.fabric.has_fault_hook() {
-            return self;
-        }
-        assert!(
-            world0.workloads.is_empty(),
-            "with_shards must be called before add_workload"
-        );
-        assert_eq!(
-            self.engine.now(),
-            SimTime::ZERO,
-            "with_shards must be called before the simulation runs"
-        );
-        let engine = self
-            .engine
-            .into_engines()
-            .pop()
-            .expect("single-shard testbed holds one engine");
-        let mut world = engine.into_world();
-        let mut shard_of = vec![0usize; world.fabric.machines()];
-        for (i, c) in world.clients.iter().enumerate() {
-            shard_of[c.machine.0 as usize] = 1 + i % (n_eff - 1);
-        }
-        let window = world.fabric.lookahead();
-        let n_sites = world.sites.len();
-        let mut sites = std::mem::take(&mut world.sites);
-        let mut coord = world.coord.take();
-        let mut engines = Vec::with_capacity(n_eff);
-        for s in 0..n_eff {
-            let shard_world = ReplWorld {
-                fabric: world.fabric.split_for_shard(&shard_of, s),
-                sites: if s == 0 {
-                    std::mem::take(&mut sites)
-                } else {
-                    (0..n_sites).map(|_| None).collect()
-                },
-                site_machines: world.site_machines.clone(),
-                alive: world.alive.clone(),
-                death_at: world.death_at.clone(),
-                coord: if s == 0 { coord.take() } else { None },
-                route_table: HashMap::new(),
-                client_local: world
-                    .clients
-                    .iter()
-                    .map(|c| shard_of[c.machine.0 as usize] == s)
-                    .collect(),
-                gen_seed: world.gen_seed,
-                clients: world.clients.clone(),
-                workloads: Vec::new(),
-                client_threads_busy: Vec::new(),
-                ops: SlabPool::new(),
-                subs: SlabPool::new(),
-                poll_scratch: Vec::new(),
-                site_wake: vec![None; n_sites],
-                client_wake: vec![None; world.clients.len()],
-                measure_start: None,
-                detect_delay: world.detect_delay,
-                resync_bytes_per_sec: world.resync_bytes_per_sec,
-                timeline: Vec::new(),
-                telemetry: world.telemetry.clone(),
-            };
-            let mut eng = Engine::with_events(shard_world);
-            if s == 0 {
-                // The control plane ticks with the sites.
-                eng.schedule_event_at(
-                    SimTime::ZERO + self.control_interval,
-                    ReplEvent::Control(self.control_interval),
-                );
-            }
-            engines.push(eng);
-        }
-        let topology = world.fabric.shard_topology(&shard_of, n_eff);
-        self.engine = ShardedEngine::new(engines, window);
-        self.engine.set_topology(topology);
-        self
     }
 
     /// Registers a replicated workload: places its replica set, admits
@@ -452,229 +226,70 @@ impl ReplTestbed {
     ///
     /// # Errors
     ///
-    /// See [`ReplError`]. An admission failure partway through leaves the
-    /// tenant registered on earlier members (like the core testbed, the
-    /// builder-phase API does not roll back).
+    /// See [`ReplError`]. An admission failure partway through leaves
+    /// the tenant registered on earlier members (like the core testbed,
+    /// the builder-phase API does not roll back).
     pub fn add_workload(&mut self, spec: ReplWorkloadSpec) -> Result<(), ReplError> {
-        let mut spec = spec;
         spec.validate().map_err(ReplError::InvalidSpec)?;
-        let shards = self.engine.shards();
-        let world = self.engine.engine_mut(0).world_mut();
-        if spec.client_machine >= world.clients.len() {
-            return Err(ReplError::NoSuchClient(spec.client_machine));
-        }
-        // Clamp the namespace to the device capacity so default specs
-        // work on any profile (every site runs the same profile).
-        let capacity = world.sites[0]
-            .as_ref()
-            .expect("shard 0 holds the sites")
-            .device
-            .profile()
-            .capacity_bytes;
-        if spec.namespace.0 >= capacity {
-            return Err(ReplError::InvalidSpec(
-                "namespace beyond device capacity".into(),
-            ));
-        }
-        spec.namespace.1 = spec.namespace.1.min(capacity - spec.namespace.0);
-        let members: Vec<ServerId> = world
-            .coord
-            .as_mut()
-            .expect("shard 0 holds the coordinator")
-            .place(spec.tenant, spec.slo)?
-            .members
-            .clone();
-        let acl = AclEntry {
-            ns_start: spec.namespace.0,
-            ns_len: spec.namespace.1,
-            allow_read: true,
-            allow_write: true,
-            allowed_clients: None,
+        let core = WorkloadSpec {
+            name: spec.name,
+            tenant: spec.tenant,
+            class: TenantClass::LatencyCritical(spec.slo),
+            pattern: LoadPattern::OpenLoop { iops: spec.iops },
+            read_pct: spec.read_pct,
+            io_size: spec.io_size,
+            conns: spec.conns,
+            client_threads: spec.client_threads,
+            client_machine: spec.client_machine,
+            shards: 1,
+            arrival: spec.arrival,
+            // A deterministic read/write interleaving: every run (and
+            // every shard count) sees the same sequence.
+            mix: MixProcess::Deterministic,
+            addr_pattern: AddrPattern::UniformRandom,
+            namespace: spec.namespace,
+            trace: None,
+            retry: spec.retry,
         };
-        let client_machine = world.clients[spec.client_machine].machine;
-        let w_idx = world.workloads.len();
-        let mut links = Vec::with_capacity(members.len());
-        let mut routes = Vec::with_capacity(members.len() * spec.conns as usize);
-        for sid in &members {
-            let site = sid.0 as usize;
-            world.sites[site]
-                .as_mut()
-                .expect("placement names a real site")
-                .server
-                .register_tenant(
-                    spec.tenant,
-                    TenantClass::LatencyCritical(spec.slo),
-                    acl.clone(),
-                    spec.io_size,
-                )?;
-            let mut conns = Vec::with_capacity(spec.conns as usize);
-            for _ in 0..spec.conns {
-                let conn = world.fabric.new_conn();
-                let st = world.sites[site]
-                    .as_mut()
-                    .expect("placement names a real site");
-                st.server
-                    .bind_connection(conn, spec.tenant, client_machine)?;
-                let queue = st.server.route(conn).unwrap_or_default();
-                routes.push((conn, site, queue));
-                conns.push(conn);
-            }
-            links.push(MemberLink {
-                site,
-                conns,
-                resyncing: false,
-            });
-        }
-        // SLO monitoring keys on the tenant; no-op while telemetry is off.
-        world
-            .telemetry
-            .slo_register(TenantKey(spec.tenant.0), spec.slo.p95_read_latency);
-        // Each workload draws from its own RNG stream keyed by its stable
-        // registration index, and the kickoff offset comes out *before*
-        // the state is replicated — every shard's copy agrees on the
-        // stream position.
-        let mut state = ReplState::new(
-            spec.clone(),
-            SimRng::stream(world.gen_seed, w_idx as u64),
-            links,
-        );
-        let offset = state
-            .rng
-            .exponential(SimDuration::from_secs_f64(1.0 / spec.iops));
-        for s in 0..shards {
-            let w = self.engine.engine_mut(s).world_mut();
-            debug_assert_eq!(w.workloads.len(), w_idx);
-            w.workloads.push(state.clone());
-            w.client_threads_busy
-                .push(vec![SimTime::ZERO; spec.client_threads as usize]);
-            for &(conn, site, queue) in &routes {
-                w.route_table.insert(conn, (site, queue));
-            }
-        }
-        let owner = (0..shards)
-            .find(|&s| self.engine.engine(s).world().client_local[spec.client_machine])
-            .expect("every client machine is local to exactly one shard");
-        self.owner.push(owner);
-        let eng = self.engine.engine_mut(owner);
-        let at = eng.now() + offset;
-        eng.schedule_event_at(at, ReplEvent::OpenLoopGen(w_idx));
-        Ok(())
+        self.tb.add_replicated(core, spec.read_policy)
     }
 
-    /// Installs a fault plan. The replication testbed accepts only
-    /// [`FaultKind::ServerDeath`] events: each arms the victim site's
+    /// Installs a fault plan through [`reflex_faults::install`]: each
+    /// [`reflex_faults::FaultKind::ServerDeath`] arms the victim site's
     /// device-death hook and a permanent link blackout on its machine,
-    /// and schedules the death bookkeeping plus coordinator failover
-    /// (death + detection delay) as engine events.
+    /// and schedules the death plus coordinator failover (death +
+    /// detection delay).
     ///
     /// # Panics
     ///
-    /// Panics when sharded (fault campaigns are single-shard), on any
-    /// non-`ServerDeath` fault kind (use `reflex_faults::install` on a
-    /// single-server testbed for those), or when a death names a site
-    /// outside the testbed.
+    /// See [`reflex_faults::install`] (sharded testbeds and deaths of
+    /// sites outside the testbed panic).
     pub fn install(&mut self, plan: &FaultPlan) -> Arc<FaultStats> {
-        assert_eq!(
-            self.engine.shards(),
-            1,
-            "fault campaigns are single-shard: install before with_shards"
-        );
-        let stats = Arc::new(FaultStats::default());
-        let world = self.engine.engine_mut(0).world_mut();
-        let n_sites = world.sites.len();
-        let detect = world.detect_delay;
-        let mut dev_hooks: Vec<PlannedDeviceHook> = (0..n_sites)
-            .map(|_| PlannedDeviceHook::new(Arc::clone(&stats)))
-            .collect();
-        let mut net = PlannedNetHook::new(Arc::clone(&stats));
-        let mut deaths = Vec::new();
-        for ev in &plan.events {
-            match ev.kind {
-                FaultKind::ServerDeath { server } => {
-                    assert!(
-                        server < n_sites,
-                        "ServerDeath names site {server} but the testbed has {n_sites}"
-                    );
-                    // The site dies whole: its device aborts every queued
-                    // and future command, and its links go dark for the
-                    // rest of the run (messages in either direction are
-                    // black-holed at send time, so they never count as
-                    // submitted work).
-                    dev_hooks[server].set_death(ev.at);
-                    net.add_link_down(
-                        ev.at,
-                        SimDuration::from_secs_f64(3600.0),
-                        world.site_machines[server],
-                    );
-                    stats.add_downtime(detect);
-                    deaths.push((ev.at, server));
-                }
-                other => panic!(
-                    "the replication testbed installs ServerDeath faults only, got {other:?}; \
-                     use reflex_faults::install on a single-server testbed"
-                ),
-            }
-        }
-        for (site, hook) in dev_hooks.into_iter().enumerate() {
-            if hook.is_armed() {
-                world.sites[site]
-                    .as_mut()
-                    .expect("shard 0 holds the sites")
-                    .device
-                    .set_fault_hook(Box::new(hook));
-            }
-        }
-        if net.is_armed() {
-            world.fabric_mut().set_fault_hook(Box::new(net));
-        }
-        let eng = self.engine.engine_mut(0);
-        for (at, site) in deaths {
-            eng.schedule_event_at(at, ReplEvent::ServerDeath(site));
-            eng.schedule_event_at(at + detect, ReplEvent::Failover(site));
-        }
-        stats
+        reflex_faults::install(plan, &mut self.tb)
     }
 
     /// Marks the end of warmup: clears all histograms and counters so the
     /// next [`report`](Self::report) covers only what follows.
     pub fn begin_measurement(&mut self) {
-        let now = self.engine.now();
-        self.measure_begin = now;
-        for s in 0..self.engine.shards() {
-            let world = self.engine.engine_mut(s).world_mut();
-            world.measure_start = Some(now);
-            for w in &mut world.workloads {
-                w.reset_measurement();
-            }
-        }
+        self.tb.begin_measurement();
     }
 
     /// Advances the simulation by `span` (all shards in lockstep windows
     /// when sharded).
     pub fn run(&mut self, span: SimDuration) {
-        self.engine.run_for(span);
+        self.tb.run(span);
     }
 
     /// Produces the measurement report for the window since
     /// [`begin_measurement`](Self::begin_measurement).
     pub fn report(&self) -> ReplReport {
-        let world = self.engine.engine(0).world();
-        let window = self.engine.now().saturating_since(self.measure_begin);
-        // Workload state advances only on its owner shard — read it there.
-        let workloads: Vec<WorkloadReport> = (0..world.workloads.len())
-            .map(|i| {
-                let s = self.owner.get(i).copied().unwrap_or(0);
-                self.engine.engine(s).world().workloads[i].report(window)
-            })
-            .collect();
+        let report = self.tb.report();
         ReplReport {
-            window,
-            workloads,
-            recoveries: world.timeline().to_vec(),
-            engine_events: (0..self.engine.shards())
-                .map(|s| self.engine.engine(s).dispatched())
-                .sum(),
-            telemetry: world.telemetry.snapshot(),
+            window: report.window,
+            workloads: report.workloads,
+            recoveries: self.tb.world().timeline().to_vec(),
+            engine_events: report.engine_events,
+            telemetry: report.telemetry,
         }
     }
 
@@ -682,40 +297,17 @@ impl ReplTestbed {
     /// and the engine probes. Recording is strictly passive, so an
     /// instrumented run is byte-identical to an uninstrumented one.
     pub fn enable_telemetry(&mut self) -> Telemetry {
-        let telemetry = Telemetry::enabled();
-        self.set_telemetry(telemetry.clone());
-        telemetry
+        self.tb.enable_telemetry()
     }
 
     /// Installs `telemetry` on every instrumented component (pass
     /// [`Telemetry::disabled`] to switch recording back off).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        for s in 0..self.engine.shards() {
-            let eng = self.engine.engine_mut(s);
-            if let Some(probe) = telemetry.engine_probe() {
-                eng.set_probe(probe);
-            } else {
-                eng.clear_probe();
-            }
-            let world = eng.world_mut();
-            world.fabric_mut().set_telemetry(telemetry.clone());
-            for st in world.sites.iter_mut().flatten() {
-                st.device.set_telemetry(telemetry.clone());
-                st.server.set_telemetry(telemetry.clone());
-            }
-            if let Some(coord) = world.coord.as_mut() {
-                coord.set_telemetry(telemetry.clone());
-            }
-            world.telemetry = telemetry.clone();
-        }
-        let world = self.engine.engine(0).world();
-        for w in &world.workloads {
-            telemetry.slo_register(TenantKey(w.spec.tenant.0), w.spec.slo.p95_read_latency);
-        }
+        self.tb.set_telemetry(telemetry);
     }
 
     /// The current telemetry snapshot, when telemetry is enabled.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.engine.engine(0).world().telemetry.snapshot()
+        self.tb.telemetry_snapshot()
     }
 }
