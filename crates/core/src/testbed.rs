@@ -96,6 +96,15 @@ pub(crate) struct Site<S> {
     threads: usize,
 }
 
+/// What a fabric machine is in a [`World`]: a site's server (by site
+/// index), a client machine (by client index), or neither.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    Site(usize),
+    Client(usize),
+    Other,
+}
+
 impl<S> Site<S> {
     /// This site's placement, with its server and device moved out of
     /// `self` (a second call finds them gone: shard 0 takes them, every
@@ -246,6 +255,9 @@ pub struct World<S: ServerHarness = ReflexServer> {
     /// draws do not depend on what other workloads do).
     gen_seed: u64,
     pub(crate) clients: Vec<ClientMachine>,
+    /// Machine id → site or client index, built once at construction so
+    /// cross-shard flight delivery routes wakes without a linear search.
+    endpoints: Vec<Endpoint>,
     pub(crate) workloads: Vec<WorkloadState>,
     client_threads_busy: Vec<Vec<SimTime>>, // [workload][client thread]
     // In-flight attempts live in a slab; the pool key (slot + generation)
@@ -320,6 +332,13 @@ impl<S: ServerHarness + 'static> World<S> {
         telemetry: Telemetry,
     ) -> Self {
         let n_threads = sites.iter().map(|s| s.threads).sum();
+        let mut endpoints = vec![Endpoint::Other; fabric.machines()];
+        for (i, c) in clients.iter().enumerate() {
+            endpoints[c.machine.0 as usize] = Endpoint::Client(i);
+        }
+        for (i, st) in sites.iter().enumerate() {
+            endpoints[st.machine.0 as usize] = Endpoint::Site(i);
+        }
         World {
             fabric,
             sites,
@@ -328,6 +347,7 @@ impl<S: ServerHarness + 'static> World<S> {
             gen_seed,
             client_wake: vec![None; clients.len()],
             clients,
+            endpoints,
             workloads: Vec::new(),
             client_threads_busy: Vec::new(),
             outstanding: SlabPool::new(),
@@ -1076,19 +1096,22 @@ impl<S: ServerHarness + 'static> ShardWorld<WorldEvent> for World<S> {
                     let conn = flight.conn();
                     let bound = flight.bound();
                     self.fabric.accept_flight(flight);
-                    if let Some(st) = self.sites.iter().find(|s| s.machine == to) {
-                        // Unbound connections fall back to thread 0: the
-                        // message lands on queue 0, owned by thread 0's
-                        // shard.
-                        let thread = st.first_thread
-                            + st.server
-                                .as_ref()
-                                .expect("flights to a server land on a server shard")
-                                .thread_of_conn(conn)
-                                .unwrap_or(0);
-                        self.ensure_thread_wake(ctx, thread, bound);
-                    } else if let Some(c) = self.clients.iter().position(|c| c.machine == to) {
-                        self.ensure_client_wake(ctx, c);
+                    match self.endpoints[to.0 as usize] {
+                        Endpoint::Site(i) => {
+                            // Unbound connections fall back to thread 0:
+                            // the message lands on queue 0, owned by thread
+                            // 0's shard.
+                            let st = &self.sites[i];
+                            let thread = st.first_thread
+                                + st.server
+                                    .as_ref()
+                                    .expect("flights to a server land on a server shard")
+                                    .thread_of_conn(conn)
+                                    .unwrap_or(0);
+                            self.ensure_thread_wake(ctx, thread, bound);
+                        }
+                        Endpoint::Client(c) => self.ensure_client_wake(ctx, c),
+                        Endpoint::Other => {}
                     }
                 }
                 // Replica sync carries no wakes: staged entries only take

@@ -5,6 +5,7 @@
 //! stream).
 
 use reflex_core::{AddrPattern, ArrivalProcess, ServerConfig, Testbed, WorkloadSpec};
+use reflex_dataplane::DataplaneConfig;
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::{LookaheadPolicy, SimDuration};
@@ -158,6 +159,64 @@ fn run_hot_signature_with(shards: usize, split: bool) -> String {
     )
 }
 
+/// Overload on a multi-thread split server: two dataplane threads, each
+/// on its own NIC lane, offered ~1.1x what they can serve together. Every
+/// thread's `core_busy` runs milliseconds ahead of `now`, so responses
+/// depart in the future and deep unresolved backlogs sit on every client
+/// queue at once, with both threads' lanes feeding them across shards.
+fn run_overload_split_signature(shards: usize) -> String {
+    // Slower cores (3x the default per-message CPU) make the two threads,
+    // not the ~1M IOPS device, the bottleneck.
+    let default = DataplaneConfig::default();
+    let dataplane = DataplaneConfig {
+        rx_msg_cost: default.rx_msg_cost * 3,
+        tx_msg_cost: default.tx_msg_cost * 3,
+        ..default
+    };
+    let offered = 1.1 * 2.0 * dataplane.peak_iops_per_core();
+    let mut tb = Testbed::builder()
+        .seed(31)
+        .server(ServerConfig {
+            threads: 2,
+            max_threads: 2,
+            dataplane,
+            ..ServerConfig::default()
+        })
+        .client_machines(vec![StackProfile::ix_tcp(); 4])
+        .link(LinkConfig::forty_gbe())
+        .build();
+    assert_eq!(
+        tb.enable_split_dataplane(),
+        Ok(()),
+        "scenario supports splitting"
+    );
+    let mut tb = tb.with_shards(shards);
+    for i in 0..4 {
+        let mut spec = WorkloadSpec::open_loop(
+            &format!("load{i}"),
+            TenantId(i as u32 + 1),
+            TenantClass::BestEffort,
+            offered / 4.0,
+        );
+        spec.io_size = 1024;
+        spec.conns = 16;
+        spec.client_threads = 2;
+        spec.client_machine = i;
+        tb.add_workload(spec).expect("admitted");
+    }
+    tb.run(SimDuration::from_millis(10));
+    tb.begin_measurement();
+    tb.run(SimDuration::from_millis(30));
+    let r = tb.report();
+    format!(
+        "workloads={:?} threads={:?} tokens={} device={:?}",
+        r.workloads,
+        r.threads,
+        r.token_usage_per_sec.to_bits(),
+        r.device,
+    )
+}
+
 #[test]
 fn two_shards_match_single_shard() {
     assert_eq!(run_signature(1), run_signature(2));
@@ -216,6 +275,17 @@ fn split_hot_single_thread_matches() {
     assert_eq!(
         run_hot_signature_with(1, true),
         run_hot_signature_with(2, true)
+    );
+}
+
+#[test]
+fn split_overload_multi_thread_matches() {
+    // Past the knee with two split dataplane threads: backlogged future
+    // departures on several queues, resolved on different shards, must
+    // still give the single-shard bytes.
+    assert_eq!(
+        run_overload_split_signature(1),
+        run_overload_split_signature(3)
     );
 }
 

@@ -326,13 +326,25 @@ pub struct Fabric<P> {
 
 /// State of windowed delivery mode (split send: the transmit half runs at
 /// send time, the receive half when the horizon passes the departure).
+#[derive(Clone)]
 struct Windowed<P> {
     /// Horizon quantum in nanoseconds (= link propagation, the lookahead).
     window_ns: u64,
     /// All flights departing strictly before this instant are resolved.
     horizon: SimTime,
-    /// Per-destination-machine min-heaps of unresolved flights.
-    pending: Vec<BinaryHeap<Reverse<Flight<P>>>>,
+    /// Unresolved flights, one min-heap per (destination machine, NIC
+    /// queue), indexed `[machine][queue]`. Every flight's bound is
+    /// `departed + propagation` with one propagation per fabric, so a
+    /// heap's head (the queue's earliest flight) also carries the queue's
+    /// minimum arrival bound: per-queue wake lookups are a `peek`, however
+    /// deep the backlog of future departures.
+    pending: Vec<Vec<BinaryHeap<Reverse<Flight<P>>>>>,
+    /// Per destination machine, a lower bound on the earliest departure
+    /// among its unresolved flights (`SimTime::MAX` when it has none):
+    /// lowered by every push, made exact when a resolution pass stops.
+    /// Horizon advances skip a machine whose bound is not below the new
+    /// horizon without touching its queue heaps.
+    next_departure: Vec<SimTime>,
     /// Present when this fabric endpoint is one shard of a sharded run.
     routes: Option<ShardRoutes>,
     /// Flights addressed to machines owned by other shards, awaiting the
@@ -340,14 +352,56 @@ struct Windowed<P> {
     outbound: Vec<(usize, Flight<P>)>,
 }
 
-impl<P: Clone> Clone for Windowed<P> {
-    fn clone(&self) -> Self {
-        Windowed {
-            window_ns: self.window_ns,
-            horizon: self.horizon,
-            pending: self.pending.clone(),
-            routes: self.routes.clone(),
-            outbound: self.outbound.clone(),
+impl<P> Windowed<P> {
+    /// Queues a freshly sent flight: locally when this endpoint resolves
+    /// its destination queue, otherwise for the next window exchange.
+    fn route(&mut self, flight: Flight<P>) {
+        match &self.routes {
+            Some(r) if r.dest_shard(flight.to, flight.queue) != r.own => {
+                let dest = r.dest_shard(flight.to, flight.queue);
+                self.outbound.push((dest, flight));
+            }
+            _ => self.push(flight),
+        }
+    }
+
+    /// Adds a flight to its destination queue's heap.
+    fn push(&mut self, flight: Flight<P>) {
+        let m = flight.to.0 as usize;
+        self.next_departure[m] = self.next_departure[m].min(flight.departed);
+        self.pending[m][flight.queue.0 as usize].push(Reverse(flight));
+    }
+
+    /// Pops machine `m`'s next flight in global [`Flight`] order if it
+    /// departed strictly before `horizon`. The machine's queue heaps are
+    /// merged by comparing their heads, so the resolution sequence — and
+    /// with it the shared `rx_busy` chain and jitter-RNG draws — is the
+    /// same as if all its flights sat in one heap.
+    fn pop_before(&mut self, m: usize, horizon: SimTime) -> Option<Flight<P>> {
+        if self.next_departure[m] >= horizon {
+            return None;
+        }
+        let queues = &mut self.pending[m];
+        let mut next: Option<(usize, &Flight<P>)> = None;
+        for (q, heap) in queues.iter().enumerate() {
+            if let Some(Reverse(f)) = heap.peek() {
+                if next.is_none_or(|(_, best)| f < best) {
+                    next = Some((q, f));
+                }
+            }
+        }
+        match next.map(|(q, f)| (q, f.departed)) {
+            // The bound stays below the popped departure, so it still
+            // bounds the remaining flights.
+            Some((q, departed)) if departed < horizon => queues[q].pop().map(|Reverse(f)| f),
+            Some((_, departed)) => {
+                self.next_departure[m] = departed;
+                None
+            }
+            None => {
+                self.next_departure[m] = SimTime::MAX;
+                None
+            }
         }
     }
 }
@@ -413,7 +467,12 @@ impl<P> Fabric<P> {
         self.windowed = Some(Windowed {
             window_ns: self.link.propagation.as_nanos(),
             horizon: SimTime::ZERO,
-            pending: self.nics.iter().map(|_| BinaryHeap::new()).collect(),
+            pending: self
+                .rx_queues
+                .iter()
+                .map(|queues| queues.iter().map(|_| BinaryHeap::new()).collect())
+                .collect(),
+            next_departure: vec![SimTime::MAX; self.nics.len()],
             routes: None,
             outbound: Vec::new(),
         });
@@ -601,7 +660,8 @@ impl<P> Fabric<P> {
         });
         self.rx_queues.push(vec![BinaryHeap::new()]);
         if let Some(w) = self.windowed.as_mut() {
-            w.pending.push(BinaryHeap::new());
+            w.pending.push(vec![BinaryHeap::new()]);
+            w.next_departure.push(SimTime::MAX);
         }
         id
     }
@@ -609,6 +669,9 @@ impl<P> Fabric<P> {
     /// Adds a receive queue to `machine`'s NIC (queue 0 exists already);
     /// returns its id. Dataplane threads poll disjoint queues.
     pub fn add_queue(&mut self, machine: MachineId) -> NicQueueId {
+        if let Some(w) = self.windowed.as_mut() {
+            w.pending[machine.0 as usize].push(BinaryHeap::new());
+        }
         let queues = &mut self.rx_queues[machine.0 as usize];
         queues.push(BinaryHeap::new());
         NicQueueId(queues.len() as u32 - 1)
@@ -745,17 +808,7 @@ impl<P> Fabric<P> {
             payload,
         };
         let bound = flight.bound;
-        match &w.routes {
-            Some(r) => {
-                let dest = r.dest_shard(to, NicQueueId(0));
-                if dest != r.own {
-                    w.outbound.push((dest, flight));
-                } else {
-                    w.pending[to.0 as usize].push(Reverse(flight));
-                }
-            }
-            None => w.pending[to.0 as usize].push(Reverse(flight)),
-        }
+        w.route(flight);
         bound
     }
 
@@ -860,12 +913,7 @@ impl<P> Fabric<P> {
                 payload,
             };
             let bound = flight.bound;
-            match &w.routes {
-                Some(r) if r.dest_shard(to, queue) != r.own => {
-                    w.outbound.push((r.dest_shard(to, queue), flight));
-                }
-                _ => w.pending[to.0 as usize].push(Reverse(flight)),
-            }
+            w.route(flight);
             return bound;
         }
 
@@ -950,15 +998,12 @@ impl<P> Fabric<P> {
         }
         w.horizon = horizon;
         for m in 0..self.nics.len() {
-            loop {
-                let w = self.windowed.as_mut().expect("windowed mode");
-                match w.pending[m].peek() {
-                    Some(Reverse(f)) if f.departed < horizon => {
-                        let flight = w.pending[m].pop().expect("peeked entry must pop").0;
-                        self.resolve(flight);
-                    }
-                    _ => break,
-                }
+            while let Some(flight) = self
+                .windowed
+                .as_mut()
+                .and_then(|w| w.pop_before(m, horizon))
+            {
+                self.resolve(flight);
             }
         }
     }
@@ -1056,13 +1101,13 @@ impl<P> Fabric<P> {
             .windowed
             .as_mut()
             .expect("accept_flight requires windowed mode");
-        w.pending[flight.to.0 as usize].push(Reverse(flight));
+        w.push(flight);
     }
 
     /// Clones this fabric into the endpoint for one shard of a sharded
     /// run: same machines, NIC state, and RNG streams, but sends to
     /// machines owned by other shards are diverted to the outbound buffer
-    /// for exchange instead of the local pending heap.
+    /// for exchange instead of the local pending heaps.
     ///
     /// Each shard must only drive the machines assigned to it; the clone
     /// carries the full NIC table (ids stay global) but only the local
@@ -1223,12 +1268,13 @@ impl<P> Fabric<P> {
 
     /// Instant of the earliest undelivered message on `machine`'s queue 0.
     ///
-    /// In windowed mode this is a conservative *lower bound*: unresolved
-    /// flights contribute their arrival bound at machine granularity (a
-    /// flight steered to another queue of the same NIC can briefly make a
-    /// queue look earlier than its true next arrival), so a wake armed from
-    /// it may find nothing and must re-arm — at most one spurious poll per
-    /// message.
+    /// In windowed mode this is a conservative *lower bound*: an unresolved
+    /// flight steered to this queue contributes its arrival bound
+    /// (`departed + propagation`), which the resolved arrival can only
+    /// exceed (downlink contention, receiver stack, fault delay), so a wake
+    /// armed from it may find nothing and must re-arm — at most one
+    /// spurious poll per message. Flights to other queues of the same NIC
+    /// never count.
     pub fn next_arrival(&self, machine: MachineId) -> Option<SimTime> {
         self.next_arrival_queue(machine, NicQueueId(0))
     }
@@ -1263,21 +1309,21 @@ impl<P> Fabric<P> {
         let pending = self
             .windowed
             .iter()
-            .flat_map(|w| w.pending.iter())
+            .flat_map(|w| w.pending.iter().flatten())
             .filter_map(|h| h.peek().map(|Reverse(f)| f.bound));
         resolved.chain(pending).min()
     }
 
     /// Earliest arrival bound among unresolved flights to one queue of
-    /// `machine`. In-flight counts are bounded by per-connection queue
-    /// depths, so the linear scan stays small.
+    /// `machine`: the head of that queue's heap. The lookup is O(1) at any
+    /// backlog depth — under overload a dataplane transmits at its
+    /// `core_busy`, milliseconds ahead of `now`, so thousands of future
+    /// departures can sit unresolved on one client queue.
     fn pending_bound_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
         self.windowed.as_ref().and_then(|w| {
-            w.pending[machine.0 as usize]
-                .iter()
-                .filter(|Reverse(f)| f.queue == queue)
+            w.pending[machine.0 as usize][queue.0 as usize]
+                .peek()
                 .map(|Reverse(f)| f.bound)
-                .min()
         })
     }
 }
@@ -1612,6 +1658,94 @@ mod tests {
     }
 
     #[test]
+    fn multi_queue_bounds_and_merge_are_order_independent() {
+        // Two senders, one destination with three NIC queues. The same
+        // sends issued in two call orders must report, after every send,
+        // each queue's brute-force minimum bound, and must resolve in one
+        // cross-queue flight order: the destination's shared rx chain and
+        // jitter stream make any other merge visible in arrival times, so
+        // every message must arrive when it does with all of them steered
+        // to one queue (one heap, flight order by construction).
+        let mk = || {
+            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(17));
+            let s1 = f.add_machine(StackProfile::ix_tcp());
+            let s2 = f.add_machine(StackProfile::linux_tcp());
+            let dst = f.add_machine(StackProfile::dataplane_raw());
+            f.enable_windowed();
+            f.add_queue(dst);
+            f.add_queue(dst);
+            (f, s1, s2, dst)
+        };
+        type Send = (SimTime, MachineId, NicQueueId, u32, u32);
+        let (mut f, s1, s2, dst) = mk();
+        let (mut g, _, _, _) = mk();
+        let conn = f.new_conn();
+        assert_eq!(g.new_conn(), conn);
+        // Per-sender send sequences; each sender's own order is fixed (its
+        // NIC state is a stream), only the interleaving differs.
+        let per_sender = |src: MachineId, salt: u64| -> Vec<Send> {
+            (0..60u64)
+                .map(|i| {
+                    let t = SimTime::from_nanos(i * 700 + salt * 90);
+                    let q = NicQueueId(((i * 7 + salt) % 3) as u32);
+                    let size = if i % 4 == 0 { 4096 } else { 256 };
+                    (t, src, q, size, (salt * 1_000 + i) as u32)
+                })
+                .collect()
+        };
+        let a = per_sender(s1, 1);
+        let b = per_sender(s2, 2);
+        // f: strictly alternating; g: all of s2's sends, then all of s1's.
+        let order_f: Vec<Send> = a.iter().zip(&b).flat_map(|(x, y)| [*x, *y]).collect();
+        let order_g: Vec<Send> = b.iter().chain(&a).copied().collect();
+        for (fab, order) in [(&mut f, &order_f), (&mut g, &order_g)] {
+            let mut bounds: Vec<Vec<SimTime>> = vec![Vec::new(); 3];
+            for &(t, src, q, size, payload) in order {
+                let bound = fab.send_to_queue(t, src, dst, q, conn, size, payload);
+                bounds[q.0 as usize].push(bound);
+                for (qi, qb) in bounds.iter().enumerate() {
+                    let want = qb.iter().min().copied();
+                    assert_eq!(
+                        fab.next_arrival_queue(dst, NicQueueId(qi as u32)),
+                        want,
+                        "queue {qi} bound after sending {payload}"
+                    );
+                }
+            }
+        }
+        let deliveries = |fab: &mut Fabric<u32>| {
+            let end = SimTime::from_secs(1);
+            fab.observe(end);
+            let mut out = Vec::new();
+            for q in 0..3 {
+                for d in fab.poll_queue(end, dst, NicQueueId(q), usize::MAX) {
+                    out.push((d.payload, q, d.arrived_at));
+                }
+            }
+            assert_eq!(fab.next_arrival_any(), None);
+            out
+        };
+        let fd = deliveries(&mut f);
+        let gd = deliveries(&mut g);
+        assert_eq!(fd.len(), 120);
+        assert_eq!(fd, gd);
+
+        let (mut one, _, _, _) = mk();
+        for &(t, src, _, size, payload) in &order_f {
+            one.send_to_queue(t, src, dst, NicQueueId(0), conn, size, payload);
+        }
+        let mut want: Vec<(u32, SimTime)> = deliveries(&mut one)
+            .into_iter()
+            .map(|(payload, _, at)| (payload, at))
+            .collect();
+        let mut got: Vec<(u32, SimTime)> =
+            fd.iter().map(|&(payload, _, at)| (payload, at)).collect();
+        want.sort();
+        got.sort();
+        assert_eq!(got, want, "cross-queue resolution left flight order");
+    }
+
+    #[test]
     fn split_exchange_matches_unsplit_windowed() {
         // A 3-machine world split into two shards must produce exactly the
         // deliveries of the unsplit windowed fabric once flights are
@@ -1740,12 +1874,13 @@ mod tests {
         let _ = f.split_for_shard(&[0, 1], 0);
     }
 
-    /// Drains one machine's pending heap, returning flights in resolution
-    /// order (test helper; production resolution consumes the same heap).
+    /// Drains one machine's pending queue heaps, returning flights in
+    /// resolution order (test helper; runs the same cross-queue merge as
+    /// production resolution).
     fn drain_pending(f: &mut Fabric<u32>, m: MachineId) -> Vec<(SimTime, MachineId, u64)> {
         let w = f.windowed.as_mut().expect("windowed");
         let mut out = Vec::new();
-        while let Some(Reverse(fl)) = w.pending[m.0 as usize].pop() {
+        while let Some(fl) = w.pop_before(m.0 as usize, SimTime::MAX) {
             out.push((fl.departed, fl.src, fl.tx_seq));
         }
         out
