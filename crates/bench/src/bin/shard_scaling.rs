@@ -8,18 +8,6 @@
 //! so the TSV's simulated columns are diffable across rows by
 //! construction.
 //!
-//! `--split-dataplane` adds a second axis: the same shard counts with the
-//! server's dataplane threads distributed across shards (lease-ledger
-//! token accounting, windowed device). Split rows are byte-identical to
-//! each other (asserted per axis — the split token grants quantize to the
-//! window grid, so the two axes legitimately differ from one another),
-//! and the JSON grows a `split_dataplane` field per point.
-//! `--require-split-win` additionally asserts that the split axis' best
-//! speedup strictly beats the machine-granular best — the point of
-//! splitting a server-bound scenario. The assertion only binds on hosts
-//! with ≥ 2 cores; single-core hosts time-slice both axes and the gap
-//! is noise.
-//!
 //! Output: a TSV on stdout (simulated columns identical across shard
 //! counts; wall-clock columns vary with the host) and
 //! `BENCH_shard_scaling.json` with the measured scaling curve.
@@ -43,7 +31,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 struct RunPoint {
     shards_requested: usize,
     shards_effective: usize,
-    split_dataplane: bool,
     wall_secs: f64,
     iops: f64,
     p95_us: f64,
@@ -59,12 +46,11 @@ struct RunPoint {
 
 fn run_point(
     shards: usize,
-    split: bool,
     policy: LookaheadPolicy,
     warmup: SimDuration,
     measure: SimDuration,
 ) -> RunPoint {
-    let mut tb = Testbed::builder()
+    let tb = Testbed::builder()
         .seed(31)
         .server(ServerConfig {
             threads: 2,
@@ -74,10 +60,6 @@ fn run_point(
         .client_machines(vec![StackProfile::ix_tcp(); CLIENTS])
         .link(LinkConfig::forty_gbe())
         .build();
-    if split {
-        tb.enable_split_dataplane()
-            .expect("the fig4 ReFlex scenario supports split-dataplane execution");
-    }
     let mut tb = tb.with_shards(shards);
     tb.set_lookahead_policy(policy);
     for i in 0..CLIENTS {
@@ -114,7 +96,6 @@ fn run_point(
     RunPoint {
         shards_requested: shards,
         shards_effective: tb.shards(),
-        split_dataplane: split,
         wall_secs,
         iops,
         p95_us: max_p95_read_us(&report),
@@ -137,15 +118,6 @@ fn run_point(
     }
 }
 
-/// Wall-clock of the axis' own 1-shard run — speedups never compare
-/// across the two execution modes' (intentionally different) baselines.
-fn axis_baseline(points: &[RunPoint], split: bool) -> f64 {
-    points
-        .iter()
-        .find(|p| p.split_dataplane == split && p.shards_requested == 1)
-        .map_or(1.0, |p| p.wall_secs)
-}
-
 fn write_json(points: &[RunPoint]) -> std::io::Result<()> {
     let path = "BENCH_shard_scaling.json";
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
@@ -158,12 +130,12 @@ fn write_json(points: &[RunPoint]) -> std::io::Result<()> {
     )?;
     writeln!(f, "  \"identical_results\": true,")?;
     writeln!(f, "  \"points\": [")?;
+    // The first point is the 1-shard run, the baseline of every speedup.
+    let baseline_wall = points[0].wall_secs;
     for (i, p) in points.iter().enumerate() {
-        let baseline_wall = axis_baseline(points, p.split_dataplane);
         writeln!(f, "    {{")?;
         writeln!(f, "      \"shards_requested\": {},", p.shards_requested)?;
         writeln!(f, "      \"shards_effective\": {},", p.shards_effective)?;
-        writeln!(f, "      \"split_dataplane\": {},", p.split_dataplane)?;
         writeln!(f, "      \"wall_secs\": {},", p.wall_secs)?;
         writeln!(
             f,
@@ -186,61 +158,40 @@ fn write_json(points: &[RunPoint]) -> std::io::Result<()> {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let split_axis = std::env::args().any(|a| a == "--split-dataplane");
-    let require_split_win = std::env::args().any(|a| a == "--require-split-win");
-    assert!(
-        split_axis || !require_split_win,
-        "--require-split-win needs --split-dataplane"
-    );
     let (warmup, measure) = if smoke {
         (SimDuration::from_millis(20), SimDuration::from_millis(80))
     } else {
         (WARMUP, MEASURE)
     };
 
-    let mut points: Vec<RunPoint> = SHARD_COUNTS
+    let points: Vec<RunPoint> = SHARD_COUNTS
         .iter()
-        .map(|&n| run_point(n, false, LookaheadPolicy::Adaptive, warmup, measure))
+        .map(|&n| run_point(n, LookaheadPolicy::Adaptive, warmup, measure))
         .collect();
-    if split_axis {
-        points.extend(
-            SHARD_COUNTS
-                .iter()
-                .map(|&n| run_point(n, true, LookaheadPolicy::Adaptive, warmup, measure)),
+
+    // The PDES invariant: every shard count simulates the exact same
+    // system. A mismatch is a determinism bug, not a measurement.
+    for p in points.iter().skip(1) {
+        assert_eq!(
+            p.signature, points[0].signature,
+            "simulated results diverged at {} shards vs 1 shard",
+            p.shards_requested
         );
     }
 
-    // The PDES invariant, enforced per axis: every shard count simulates
-    // the exact same system. A mismatch is a determinism bug, not a
-    // measurement. (The two axes differ from *each other* by design: split
-    // mode quantizes token grants to the exchange-window grid.)
-    for split in [false, true] {
-        let axis: Vec<&RunPoint> = points
-            .iter()
-            .filter(|p| p.split_dataplane == split)
-            .collect();
-        for p in axis.iter().skip(1) {
-            assert_eq!(
-                p.signature, axis[0].signature,
-                "simulated results diverged at {} shards vs 1 shard (split={split})",
-                p.shards_requested
-            );
-        }
-    }
-
     println!("# Shard scaling: fig4 ReFlex scenario, adaptive lookahead");
-    println!("# simulated columns (achieved_kiops, p95_us) are byte-identical across rows of one axis; wall columns vary with the host");
-    println!("shards\teff\tsplit\tachieved_kiops\tp95_us\twall_ms\tspeedup\tbarrier_wait_pct\tbarriers\twindows\textended");
+    println!("# simulated columns (achieved_kiops, p95_us) are byte-identical across rows; wall columns vary with the host");
+    println!("shards\teff\tachieved_kiops\tp95_us\twall_ms\tspeedup\tbarrier_wait_pct\tbarriers\twindows\textended");
+    let base = points[0].wall_secs;
     for p in &points {
         println!(
-            "{}\t{}\t{}\t{:.0}\t{:.0}\t{:.0}\t{:.2}\t{:.1}\t{}\t{}\t{}",
+            "{}\t{}\t{:.0}\t{:.0}\t{:.0}\t{:.2}\t{:.1}\t{}\t{}\t{}",
             p.shards_requested,
             p.shards_effective,
-            u8::from(p.split_dataplane),
             p.iops / 1e3,
             p.p95_us,
             p.wall_secs * 1e3,
-            axis_baseline(&points, p.split_dataplane) / p.wall_secs,
+            base / p.wall_secs,
             p.barrier_wait_frac * 100.0,
             p.barrier_waits,
             p.windows_committed,
@@ -250,44 +201,5 @@ fn main() {
     match write_json(&points) {
         Ok(()) => eprintln!("[shard_scaling] wrote BENCH_shard_scaling.json"),
         Err(e) => eprintln!("[shard_scaling] could not write JSON artifact: {e}"),
-    }
-
-    if split_axis {
-        // The tentpole claim: on a server-bound scenario (two dataplane
-        // threads, one machine) machine-granular sharding leaves the whole
-        // server on shard 0, so distributing the threads must scale
-        // strictly better.
-        let best = |split: bool| {
-            let base = axis_baseline(&points, split);
-            points
-                .iter()
-                .filter(|p| p.split_dataplane == split && p.shards_requested > 1)
-                .map(|p| base / p.wall_secs)
-                .fold(0.0f64, f64::max)
-        };
-        let (machine_best, split_best) = (best(false), best(true));
-        eprintln!(
-            "[shard_scaling] best speedup: machine-granular {machine_best:.2}x, \
-             split-dataplane {split_best:.2}x"
-        );
-        if require_split_win {
-            // The claim is about *parallel* execution: with one core both
-            // axes just time-slice and the wall-clock gap is noise, so the
-            // gate only binds on hosts that can actually run shards
-            // concurrently (CI's multi-core runners).
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            if cores < 2 {
-                eprintln!(
-                    "[shard_scaling] --require-split-win skipped: host has {cores} core(s), \
-                     speedup comparison needs real parallelism"
-                );
-            } else {
-                assert!(
-                    split_best > machine_best,
-                    "split-dataplane ({split_best:.2}x) did not beat machine-granular \
-                     ({machine_best:.2}x) on a server-bound scenario"
-                );
-            }
-        }
     }
 }

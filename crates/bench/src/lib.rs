@@ -66,34 +66,9 @@ pub fn sim_shards() -> usize {
     }
 }
 
-/// Whether split-dataplane mode is requested via `REFLEX_SIM_SPLIT`
-/// (default off). When on, [`run_testbed`] switches the testbed to
-/// split-dataplane execution before sharding, so `REFLEX_SIM_SHARDS`
-/// distributes dataplane *threads* (not just client machines) across
-/// shards. Split-mode results are byte-identical at every shard count but
-/// differ from default-mode results (token grants quantize to the
-/// exchange-window grid), which is why the default stays off and every
-/// committed figure is generated without it.
-///
-/// # Panics
-///
-/// Panics on unrecognized values — a typo silently running the unified
-/// dataplane would invalidate a scaling measurement.
-pub fn sim_split() -> bool {
-    let Ok(raw) = std::env::var("REFLEX_SIM_SPLIT") else {
-        return false;
-    };
-    match raw.as_str() {
-        "" | "0" | "off" => false,
-        "1" | "on" => true,
-        other => panic!("invalid REFLEX_SIM_SPLIT={other:?} (expected 0/off or 1/on)"),
-    }
-}
-
 /// Adds `workloads` to a testbed, runs warmup + measurement, and reports.
 /// Honors `REFLEX_SIM_SHARDS` (sharding applies before workloads are
-/// added; results are byte-identical at any shard count) and
-/// `REFLEX_SIM_SPLIT` (thread-granular sharding — see [`sim_split`]).
+/// added; results are byte-identical at any shard count).
 ///
 /// # Panics
 ///
@@ -106,11 +81,6 @@ pub fn run_testbed<S: ServerHarness + 'static>(
     measure: SimDuration,
 ) -> TestbedReport {
     let shards = sim_shards();
-    if sim_split() {
-        // Falls back (with a stderr note) when the server under test does
-        // not support splitting — the run is still valid, just unified.
-        let _ = tb.enable_split_dataplane();
-    }
     if shards > 1 {
         tb = tb.with_shards(shards);
     }

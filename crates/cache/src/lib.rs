@@ -2,10 +2,9 @@
 //!
 //! A deterministic, set-associative read cache keyed by `(tenant, line)`.
 //! Each dataplane thread owns a private instance, so the cache composes
-//! with sharded and split-dataplane execution without any cross-shard
-//! coherence traffic: the only inputs are the thread's own rx/completion
-//! sequence, which the simulator already makes byte-identical at any
-//! shard count.
+//! with sharded execution without any cross-shard coherence traffic:
+//! the only inputs are the thread's own rx/completion sequence, which
+//! the simulator already makes byte-identical at any shard count.
 //!
 //! Policy, in one paragraph: reads that overlap only valid lines *hit*
 //! and are served at DRAM cost without touching the flash SQ; reads that
@@ -56,7 +55,7 @@ pub struct CacheConfig {
     /// QoS token cost of one cached page, in millitokens. Hits debit
     /// this from the tenant's local token balance instead of the flash
     /// read cost, so scheduler rate limits keep reflecting real device
-    /// load (including under the split-dataplane lease ledger).
+    /// load.
     pub dram_cost_millitokens: i64,
 }
 

@@ -61,6 +61,6 @@ pub use replica::{
 pub use replicated::TenantRecovery;
 pub use server::{AdmissionError, ControlPlaneStats, ReflexServer, ServerConfig};
 pub use testbed::{
-    ShardClamp, SplitFallback, Testbed, TestbedBuilder, TestbedError, TestbedReport, ThreadReport,
-    World, WorldEvent,
+    ShardClamp, Testbed, TestbedBuilder, TestbedError, TestbedReport, ThreadReport, World,
+    WorldEvent,
 };

@@ -9,18 +9,17 @@
 //! warmup-then-measure windows, exactly like mutilate.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use reflex_dataplane::WireMsg;
-use reflex_flash::{DeviceProfile, DeviceStats, FlashDevice, StagedCmd};
+use reflex_flash::{DeviceProfile, DeviceStats, FlashDevice};
 use reflex_net::{
     ConnId, Delivery, Fabric, Flight, LinkConfig, MachineId, NicQueueId, Opcode, ReflexHeader,
     StackProfile,
 };
-use reflex_qos::{CostModel, LeaseEntry, LeaseLedger, TenantId, TokenPool};
+use reflex_qos::{CostModel, TenantId};
 use reflex_sim::{
-    Ctx, Engine, EventHandle, LookaheadPolicy, PoolKey, ShardStats, ShardTopology, ShardWorld,
-    ShardedEngine, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, Zipf,
+    Ctx, Engine, EventHandle, LookaheadPolicy, PoolKey, ShardStats, ShardWorld, ShardedEngine,
+    SimDuration, SimRng, SimTime, SlabPool, TypedEvent, Zipf,
 };
 use reflex_telemetry::{ShardCounter, Stage, Telemetry, TelemetrySnapshot, TenantKey};
 
@@ -85,9 +84,8 @@ pub(crate) struct ClientMachine {
 /// replica-hosting server.
 pub(crate) struct Site<S> {
     pub(crate) machine: MachineId,
-    /// Server and device live on shard 0 only (split-dataplane replicas
-    /// aside); client shards carry `None` and route requests through
-    /// `route_table` instead.
+    /// Server and device live on shard 0 only; client shards carry `None`
+    /// and route requests through `route_table` instead.
     pub(crate) server: Option<S>,
     pub(crate) device: Option<FlashDevice>,
     /// Index of this site's thread 0 in the world's per-thread tables.
@@ -196,21 +194,6 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent {
         // (The event's *scheduled* time, not a busy-advanced one, so the
         // horizon is a pure function of the event timeline.)
         world.fabric.observe(ctx.now());
-        if world.split {
-            // Split mode: the device and the lease ledger apply staged
-            // entries on the same event-driven horizon, so the applied set
-            // at any instant is a pure function of the event timeline —
-            // identical at every shard count.
-            if let Some(device) = world.sites[0].device.as_mut() {
-                device.observe(ctx.now());
-            }
-            if let Some(ledger) = &world.ledger {
-                ledger
-                    .lock()
-                    .expect("lease ledger poisoned")
-                    .observe(ctx.now());
-            }
-        }
         match self {
             WorldEvent::PumpThread(i) => world.pump_event(i, ctx),
             WorldEvent::ClientPoll(i) => world.client_poll_event(i, ctx),
@@ -291,20 +274,6 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // (see [`Testbed::enable_telemetry`]) the same handle is shared by the
     // device, fabric, server threads and the client-side span/SLO probes.
     pub(crate) telemetry: Telemetry,
-    /// Split-dataplane mode: the device stages commands, the token bucket
-    /// is a lease ledger, and dataplane threads may live on different
-    /// shards (see [`Testbed::enable_split_dataplane`]).
-    split: bool,
-    /// Whether worker thread `i` runs on this shard. All true in a
-    /// single-shard run; in machine-granular sharding every thread lives
-    /// on shard 0; in split mode threads round-robin over the shards.
-    thread_local: Vec<bool>,
-    /// This shard's lease-ledger replica (split mode only; shared with the
-    /// local schedulers through [`TokenPool::Leased`]).
-    ledger: Option<Arc<Mutex<LeaseLedger>>>,
-    /// Peer shards holding device/ledger replicas that must receive this
-    /// shard's staged commands and lease entries at window boundaries.
-    dev_peers: Vec<usize>,
     /// Replica-set coordinator and failover timeline (replicated testbeds
     /// only, on shard 0 with the sites — fault campaigns pin to a single
     /// shard, so failover only reshapes membership where generators run).
@@ -363,10 +332,6 @@ impl<S: ServerHarness + 'static> World<S> {
             gen_cursor: Vec::new(),
             zipf: Vec::new(),
             telemetry,
-            split: false,
-            thread_local: vec![true; n_threads],
-            ledger: None,
-            dev_peers: Vec::new(),
             repl: None,
         }
     }
@@ -482,12 +447,12 @@ impl<S: ServerHarness + 'static> World<S> {
         thread: usize,
         at: SimTime,
     ) {
-        // Split mode: a thread only pumps on the shard that owns it; in
-        // machine-granular sharding only shard 0 (the sites' shard) pumps.
-        // Every wake funnels through here, so this is the single gate.
-        if !self.thread_local.get(thread).copied().unwrap_or(false) {
-            return;
-        }
+        // Every server thread lives on the shard holding the servers
+        // (shard 0); client shards never arm server wakes.
+        debug_assert!(
+            self.sites[0].server.is_some(),
+            "thread wake off the server shard"
+        );
         let at = at.max(ctx.now());
         if let Some((pending, _)) = self.thread_wake[thread] {
             if at >= pending {
@@ -1022,116 +987,42 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 }
 
-/// A cross-shard exchange item: a network flight, a batch of staged device
-/// commands bound for peer device replicas, or a batch of lease-ledger
-/// entries bound for peer ledger replicas. Device and lease batches carry
-/// their conservative bound (the end of the window their earliest entry was
-/// staged in) computed at flush time, because staged entries only take
-/// effect at the *next* window boundary.
-#[derive(Debug)]
-pub enum WorldFlight {
-    /// An in-flight network message.
-    Net(Flight<WireMsg>),
-    /// Staged NVMe commands replicated to a peer shard's device.
-    Dev(SimTime, Vec<StagedCmd>),
-    /// Staged lease-ledger operations replicated to a peer shard's ledger.
-    Lease(SimTime, Vec<LeaseEntry>),
-}
-
 // Sharded execution: a `World` ships departed cross-shard flights at each
 // window boundary and folds arrivals from peer shards back into its own
-// fabric, arming the same wakes the sender would have armed locally. In
-// split-dataplane mode the device and QoS token state cross shards the same
-// way: staged commands and lease entries are flights too, bounded by the
-// window boundary after their staging instant.
+// fabric, arming the same wakes the sender would have armed locally.
 impl<S: ServerHarness + 'static> ShardWorld<WorldEvent> for World<S> {
-    type Flight = WorldFlight;
+    type Flight = Flight<WireMsg>;
 
     fn flush_outbound(&mut self, sink: &mut Vec<(usize, Self::Flight)>) {
-        let mut nets = Vec::new();
-        self.fabric.take_outbound(&mut nets);
-        sink.extend(nets.into_iter().map(|(s, f)| (s, WorldFlight::Net(f))));
-        if !self.split || self.dev_peers.is_empty() {
-            return;
-        }
-        // Staged entries apply at the first window boundary after their
-        // staging instant, so that boundary is their conservative bound.
-        let w = self.fabric.lookahead().as_nanos();
-        let grid_after = |at: SimTime| SimTime::from_nanos(at.as_nanos() / w * w + w);
-        if let Some(device) = self.sites[0].device.as_mut() {
-            let cmds = device.take_staged_outbound();
-            if !cmds.is_empty() {
-                let bound = grid_after(cmds.iter().map(|c| c.at).min().expect("non-empty"));
-                for &p in &self.dev_peers {
-                    sink.push((p, WorldFlight::Dev(bound, cmds.clone())));
-                }
-            }
-        }
-        if let Some(ledger) = &self.ledger {
-            let entries = ledger
-                .lock()
-                .expect("lease ledger poisoned")
-                .take_outbound();
-            if !entries.is_empty() {
-                let bound = grid_after(entries.iter().map(|e| e.at).min().expect("non-empty"));
-                for &p in &self.dev_peers {
-                    sink.push((p, WorldFlight::Lease(bound, entries.clone())));
-                }
-            }
-        }
+        self.fabric.take_outbound(sink);
     }
 
     fn flight_bound(flight: &Self::Flight) -> Option<SimTime> {
-        match flight {
-            WorldFlight::Net(f) => Some(f.bound()),
-            WorldFlight::Dev(bound, _) | WorldFlight::Lease(bound, _) => Some(*bound),
-        }
+        Some(flight.bound())
     }
 
     fn deliver(&mut self, ctx: &mut Ctx<'_, Self, WorldEvent>, flights: &mut Vec<Self::Flight>) {
         for flight in flights.drain(..) {
-            match flight {
-                WorldFlight::Net(flight) => {
-                    let to = flight.to();
-                    let conn = flight.conn();
-                    let bound = flight.bound();
-                    self.fabric.accept_flight(flight);
-                    match self.endpoints[to.0 as usize] {
-                        Endpoint::Site(i) => {
-                            // Unbound connections fall back to thread 0:
-                            // the message lands on queue 0, owned by thread
-                            // 0's shard.
-                            let st = &self.sites[i];
-                            let thread = st.first_thread
-                                + st.server
-                                    .as_ref()
-                                    .expect("flights to a server land on a server shard")
-                                    .thread_of_conn(conn)
-                                    .unwrap_or(0);
-                            self.ensure_thread_wake(ctx, thread, bound);
-                        }
-                        Endpoint::Client(c) => self.ensure_client_wake(ctx, c),
-                        Endpoint::Other => {}
-                    }
+            let to = flight.to();
+            let conn = flight.conn();
+            let bound = flight.bound();
+            self.fabric.accept_flight(flight);
+            match self.endpoints[to.0 as usize] {
+                Endpoint::Site(i) => {
+                    // An unbound connection's message lands on queue 0:
+                    // wake thread 0 of the site's server, which, like
+                    // every server, lives on this (shard-0) world.
+                    let st = &self.sites[i];
+                    let thread = st.first_thread
+                        + st.server
+                            .as_ref()
+                            .expect("flights to a server land on the server shard")
+                            .thread_of_conn(conn)
+                            .unwrap_or(0);
+                    self.ensure_thread_wake(ctx, thread, bound);
                 }
-                // Replica sync carries no wakes: staged entries only take
-                // effect at dispatch-time `observe` calls, which existing
-                // events already drive.
-                WorldFlight::Dev(_, cmds) => {
-                    self.sites[0]
-                        .device
-                        .as_mut()
-                        .expect("device replicas live on thread shards")
-                        .accept_staged(&cmds);
-                }
-                WorldFlight::Lease(_, entries) => {
-                    self.ledger
-                        .as_ref()
-                        .expect("ledger replicas live on thread shards")
-                        .lock()
-                        .expect("lease ledger poisoned")
-                        .accept(&entries);
-                }
+                Endpoint::Client(c) => self.ensure_client_wake(ctx, c),
+                Endpoint::Other => {}
             }
         }
     }
@@ -1474,43 +1365,10 @@ impl TestbedBuilder {
             control_interval: interval,
             owner: Vec::new(),
             exported: vec![ShardStats::default()],
-            split: false,
             shard_note: None,
         }
     }
 }
-
-/// Why [`Testbed::enable_split_dataplane`] left the unified dataplane in
-/// place. Returned (not just printed) so tests and the swarm harness can
-/// assert the *reason* for a fallback instead of scraping stderr.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitFallback {
-    /// The server under test does not support thread-granular sharding
-    /// ([`ServerHarness::supports_split`] is `false`).
-    ServerUnsupported,
-    /// A network fault hook is armed; fault campaigns run unified.
-    NetFaultHook,
-    /// A device fault hook is armed; fault campaigns run unified.
-    DeviceFaultHook,
-    /// NIC queues are not laid out one-per-thread, so queues cannot be
-    /// assigned to thread shards.
-    QueueLayout,
-}
-
-impl std::fmt::Display for SplitFallback {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SplitFallback::ServerUnsupported => {
-                "the server does not support thread-granular sharding"
-            }
-            SplitFallback::NetFaultHook => "a network fault hook is installed",
-            SplitFallback::DeviceFaultHook => "a device fault hook is installed",
-            SplitFallback::QueueLayout => "NIC queues are not one-per-thread",
-        })
-    }
-}
-
-impl std::error::Error for SplitFallback {}
 
 /// Why [`Testbed::with_shards`] ran on fewer shards than requested (or on
 /// one). Recorded on the testbed and queryable via
@@ -1559,9 +1417,6 @@ pub struct Testbed<S: ServerHarness = ReflexServer> {
     /// Per-shard counters already folded into telemetry, so repeated
     /// [`run`](Self::run) calls export deltas rather than double counting.
     exported: Vec<ShardStats>,
-    /// Split-dataplane mode is armed (see
-    /// [`enable_split_dataplane`](Self::enable_split_dataplane)).
-    split: bool,
     /// Why the last [`with_shards`](Self::with_shards) fell back or
     /// clamped, if it did.
     shard_note: Option<ShardClamp>,
@@ -1626,27 +1481,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         self.shard_note
     }
 
-    /// Whether split-dataplane mode is armed (see
-    /// [`enable_split_dataplane`](Self::enable_split_dataplane)).
-    pub fn split_dataplane(&self) -> bool {
-        self.split
-    }
-
-    /// The lease ledger's conservation pair `(gives, accounted)` —
-    /// cumulative donations vs `residue + Σ leases + taken + discarded` —
-    /// from the first shard holding a ledger replica. `None` outside
-    /// split-dataplane mode. Every replica agrees at applied boundaries,
-    /// so one replica suffices; the swarm oracle asserts the two sides
-    /// are equal at run exit.
-    pub fn lease_accounting(&self) -> Option<(i64, i64)> {
-        (0..self.engine.shards()).find_map(|s| {
-            self.engine.engine(s).world().ledger.as_ref().map(|l| {
-                let l = l.lock().expect("lease ledger poisoned");
-                (l.gives_cum(), l.accounted())
-            })
-        })
-    }
-
     /// Shared access to the world (shard 0 — the server's shard — when
     /// sharded).
     pub fn world(&self) -> &World<S> {
@@ -1691,9 +1525,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     /// Panics if called after a workload was added or after the simulation
     /// has started running.
     pub fn with_shards(mut self, n: usize) -> Self {
-        if self.split {
-            return self.with_shards_split(n);
-        }
         let world0 = self.engine.engine(0).world();
         let n_clients = world0.clients.len();
         let n_eff = 1 + n.saturating_sub(1).min(n_clients);
@@ -1763,9 +1594,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                     .iter()
                     .map(|c| shard_of[c.machine.0 as usize] == s)
                     .collect(),
-                // Machine-granular sharding: every thread lives with the
-                // servers on shard 0.
-                thread_local: vec![s == 0; world.thread_wake.len()],
                 repl: world.repl.take(),
                 ..World::new(
                     world.fabric.split_for_shard(&shard_of, s),
@@ -1788,238 +1616,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         let topology = world.fabric.shard_topology(&shard_of, n_eff);
         self.engine = ShardedEngine::new(engines, window);
         self.engine.set_topology(topology);
-        self.engine.set_pinning(plan_pinning(n_eff));
-        self.exported = vec![ShardStats::default(); n_eff];
-        self
-    }
-
-    /// Switches the testbed to split-dataplane mode: the NIC serializes
-    /// each queue on its own lane, the Flash device stages commands on the
-    /// window grid, and the schedulers' shared token bucket is replaced by
-    /// a deterministically-mergeable lease ledger. A subsequent
-    /// [`with_shards`](Self::with_shards) then distributes dataplane
-    /// *threads* (not just client machines) across shards — each thread
-    /// shard carries replicas of the device and ledger, kept bit-identical
-    /// by broadcasting staged entries at window boundaries.
-    ///
-    /// All three mechanisms are active even at one shard, so split-mode
-    /// results are byte-identical at every shard count (but differ from
-    /// unified-dataplane results: token grants quantize to the window
-    /// grid). The default OFF keeps every existing figure untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`SplitFallback`] reason (with a one-line stderr
-    /// note, leaving the unified dataplane in place) when the server does
-    /// not support splitting, a fault hook is installed, or NIC queues are
-    /// not one-per-thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`with_shards`](Self::with_shards),
-    /// [`add_workload`](Self::add_workload), or the first
-    /// [`run`](Self::run).
-    pub fn enable_split_dataplane(&mut self) -> Result<(), SplitFallback> {
-        assert_eq!(
-            self.engine.shards(),
-            1,
-            "enable_split_dataplane must precede with_shards"
-        );
-        assert_eq!(
-            self.engine.now(),
-            SimTime::ZERO,
-            "enable_split_dataplane must precede the first run"
-        );
-        let world = self.engine.engine_mut(0).world_mut();
-        assert!(
-            world.workloads.is_empty(),
-            "enable_split_dataplane must precede add_workload"
-        );
-        assert_eq!(
-            world.sites.len(),
-            1,
-            "split-dataplane mode runs single-site testbeds"
-        );
-        let server_machine = world.sites[0].machine;
-        let max_threads = world.server().max_threads();
-        let reason = if !world.server().supports_split() {
-            Some(SplitFallback::ServerUnsupported)
-        } else if world.fabric.has_fault_hook() {
-            Some(SplitFallback::NetFaultHook)
-        } else if world.device().has_fault_hook() {
-            Some(SplitFallback::DeviceFaultHook)
-        } else if world.fabric.queue_count(server_machine) as usize != max_threads {
-            Some(SplitFallback::QueueLayout)
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            eprintln!(
-                "reflex-sim: split-dataplane disabled ({reason}); running the unified dataplane"
-            );
-            return Err(reason);
-        }
-        let window = world.fabric.lookahead();
-        let active = world.server().active_threads();
-        world.fabric.enable_lanes(server_machine);
-        world.device_mut().enable_windowed(window);
-        let mut ledger = LeaseLedger::new(max_threads as u32, window);
-        ledger.set_active_threads(active as u32);
-        let ledger = Arc::new(Mutex::new(ledger));
-        world
-            .server_mut()
-            .set_token_pool(TokenPool::Leased(Arc::clone(&ledger)));
-        world.ledger = Some(ledger);
-        world.split = true;
-        self.split = true;
-        Ok(())
-    }
-
-    /// Thread-granular sharding for split-dataplane mode: each dataplane
-    /// thread (with its NIC lane and NVMe queue pair) and each client
-    /// machine is a placement entity, round-robined across up to `n`
-    /// shards. Every thread-owning shard carries a pristine server replica
-    /// plus device and lease-ledger replicas; staged NVMe commands and
-    /// lease entries broadcast at window boundaries keep the replicas
-    /// bit-identical, so results match the split-mode single-shard run
-    /// byte for byte.
-    fn with_shards_split(mut self, n: usize) -> Self {
-        let world0 = self.engine.engine(0).world();
-        let n_threads = world0.server().active_threads();
-        let n_clients = world0.clients.len();
-        let n_eff = n.min(n_threads + n_clients);
-        if self.engine.shards() != 1 || n_eff <= 1 {
-            return self;
-        }
-        assert!(
-            world0.workloads.is_empty(),
-            "with_shards must be called before add_workload"
-        );
-        assert_eq!(
-            self.engine.now(),
-            SimTime::ZERO,
-            "with_shards must be called before the simulation runs"
-        );
-        if n_eff < n {
-            self.shard_note = Some(ShardClamp::Clamped {
-                requested: n,
-                effective: n_eff,
-            });
-            eprintln!(
-                "reflex-sim: {n} shards requested, clamped to {n_eff} \
-                 ({n_threads} dataplane threads + {n_clients} client machines)"
-            );
-        }
-        let engine = self
-            .engine
-            .into_engines()
-            .pop()
-            .expect("single-shard testbed holds one engine");
-        let mut world = engine.into_world();
-        let max_threads = world.thread_wake.len();
-        // Placement entity k is thread k (k < n_threads) or client
-        // machine k - n_threads, round-robined over the shards.
-        let owner = |k: usize| k % n_eff;
-        let mut shard_of = vec![0usize; world.fabric.machines()];
-        for (i, c) in world.clients.iter().enumerate() {
-            shard_of[c.machine.0 as usize] = owner(n_threads + i);
-        }
-        // Queue q belongs to thread q's shard (enable_split_dataplane
-        // verified the one-queue-per-thread layout). Inactive threads'
-        // queues never see traffic; park them on shard 0.
-        let queue_map: Vec<usize> = (0..max_threads)
-            .map(|q| if q < n_threads { owner(q) } else { 0 })
-            .collect();
-        let t_shards = n_eff.min(n_threads);
-        let window = world.fabric.lookahead();
-        let site0 = world.sites[0].take();
-        let server0 = site0.server.expect("split testbed holds the server");
-        let device0 = site0.device.expect("split testbed holds the device");
-        let ledger0 = world.ledger.take().expect("split mode installed a ledger");
-        let active = server0.active_threads();
-
-        let mut servers: Vec<Option<S>> = (0..n_eff).map(|_| None).collect();
-        let mut devices: Vec<Option<FlashDevice>> = (0..n_eff).map(|_| None).collect();
-        let mut ledgers: Vec<Option<Arc<Mutex<LeaseLedger>>>> = (0..n_eff).map(|_| None).collect();
-        for s in 1..t_shards {
-            let mut replica = server0
-                .replicate(SimTime::ZERO)
-                .expect("supports_split implies replicate");
-            let mut ledger = LeaseLedger::new(max_threads as u32, window);
-            ledger.set_active_threads(active as u32);
-            let ledger = Arc::new(Mutex::new(ledger));
-            replica.set_token_pool(TokenPool::Leased(Arc::clone(&ledger)));
-            servers[s] = Some(replica);
-            devices[s] = Some(device0.replicate());
-            ledgers[s] = Some(ledger);
-        }
-        servers[0] = Some(server0);
-        devices[0] = Some(device0);
-        ledgers[0] = Some(ledger0);
-        // Each replica delivers completions only for the queue pairs its
-        // shard owns (every replica still applies every command, keeping
-        // device state bit-identical across shards).
-        for (s, dev) in devices.iter_mut().enumerate().take(t_shards) {
-            let mask: Vec<bool> = (0..max_threads)
-                .map(|i| i < n_threads && owner(i) == s)
-                .collect();
-            dev.as_mut()
-                .expect("thread shards hold a device")
-                .set_local_qps(mask);
-        }
-
-        let mut engines = Vec::with_capacity(n_eff);
-        for s in 0..n_eff {
-            let site = Site {
-                server: servers[s].take(),
-                device: devices[s].take(),
-                ..world.sites[0].take()
-            };
-            let shard_world = World {
-                client_local: world
-                    .clients
-                    .iter()
-                    .map(|c| shard_of[c.machine.0 as usize] == s)
-                    .collect(),
-                split: true,
-                thread_local: (0..max_threads)
-                    .map(|i| i < n_threads && owner(i) == s)
-                    .collect(),
-                ledger: ledgers[s].take(),
-                dev_peers: if s < t_shards {
-                    (0..t_shards).filter(|&p| p != s).collect()
-                } else {
-                    Vec::new()
-                },
-                ..World::new(
-                    world.fabric.split_for_shard_with_queues(
-                        &shard_of,
-                        s,
-                        Some((site.machine, queue_map.clone())),
-                    ),
-                    vec![site],
-                    world.clients.clone(),
-                    world.gen_seed,
-                    world.telemetry.clone(),
-                )
-            };
-            let mut eng = Engine::with_events(shard_world);
-            if s < t_shards {
-                // The control plane ticks on every thread-owning shard:
-                // deficit detection and SLO monitoring read local thread
-                // state only, and the report unions the per-shard flags.
-                eng.schedule_event_at(
-                    SimTime::ZERO + self.control_interval,
-                    WorldEvent::Control(self.control_interval),
-                );
-            }
-            engines.push(eng);
-        }
-        // Queue-granular routing makes client↔thread-shard and
-        // thread-shard↔thread-shard pairs all active: a full mesh.
-        self.engine = ShardedEngine::new(engines, window);
-        self.engine
-            .set_topology(ShardTopology::full_mesh(n_eff, window));
         self.engine.set_pinning(plan_pinning(n_eff));
         self.exported = vec![ShardStats::default(); n_eff];
         self
@@ -2186,26 +1782,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         for s in 0..shards {
             let w = self.engine.engine_mut(s).world_mut();
             debug_assert_eq!(w.workloads.len(), w_idx);
-            if let Some(server) = w.sites[0].server.as_mut().filter(|_| s > 0) {
-                // Split replicas replay registration and binding so every
-                // shard's placement bookkeeping (and conn → thread routes)
-                // matches shard 0 bit for bit — placement is deterministic.
-                if spec.shards > 1 {
-                    server.register_tenant_sharded(
-                        spec.tenant,
-                        spec.class,
-                        acl.clone(),
-                        spec.io_size,
-                        spec.shards,
-                    )?;
-                } else {
-                    server.register_tenant(spec.tenant, spec.class, acl.clone(), spec.io_size)?;
-                }
-                for &(conn, queue) in &routes {
-                    let (_, q) = server.bind_connection(conn, spec.tenant, client_machine)?;
-                    debug_assert_eq!(q, queue, "replica placement diverged from shard 0");
-                }
-            }
             w.zipf.push(zipf.clone());
             w.workloads.push(state.clone());
             w.client_threads_busy
@@ -2284,80 +1860,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     /// when sharded).
     pub fn run(&mut self, span: SimDuration) {
         self.engine.run_for(span);
-        self.settle_split();
         self.export_shard_counters();
-    }
-
-    /// Split mode only: after a run, exchange any staged device commands
-    /// and lease entries still in flight and advance every replica's
-    /// apply horizon to the stop instant. Without this, a replica whose
-    /// shard saw no event near the end of the run would report stale
-    /// device statistics (the apply horizon only advances at event
-    /// dispatch), and the reported state would depend on the shard count.
-    /// Net flights are *not* exchanged — they stay queued for the next
-    /// window like in any paused run.
-    fn settle_split(&mut self) {
-        if !self.split {
-            return;
-        }
-        let shards = self.engine.shards();
-        let now = self.engine.now();
-        if shards > 1 {
-            let mut dev_posts: Vec<(usize, Vec<StagedCmd>)> = Vec::new();
-            let mut lease_posts: Vec<(usize, Vec<LeaseEntry>)> = Vec::new();
-            for s in 0..shards {
-                let w = self.engine.engine_mut(s).world_mut();
-                if let Some(device) = w.sites[0].device.as_mut() {
-                    let cmds = device.take_staged_outbound();
-                    if !cmds.is_empty() {
-                        dev_posts.push((s, cmds));
-                    }
-                }
-                if let Some(ledger) = &w.ledger {
-                    let entries = ledger
-                        .lock()
-                        .expect("lease ledger poisoned")
-                        .take_outbound();
-                    if !entries.is_empty() {
-                        lease_posts.push((s, entries));
-                    }
-                }
-            }
-            for s in 0..shards {
-                let w = self.engine.engine_mut(s).world_mut();
-                if w.sites[0].server.is_none() {
-                    continue;
-                }
-                for (from, cmds) in &dev_posts {
-                    if *from != s {
-                        w.sites[0]
-                            .device
-                            .as_mut()
-                            .expect("thread shards hold a device")
-                            .accept_staged(cmds);
-                    }
-                }
-                for (from, entries) in &lease_posts {
-                    if *from != s {
-                        w.ledger
-                            .as_ref()
-                            .expect("thread shards hold a ledger")
-                            .lock()
-                            .expect("lease ledger poisoned")
-                            .accept(entries);
-                    }
-                }
-            }
-        }
-        for s in 0..shards {
-            let w = self.engine.engine_mut(s).world_mut();
-            if let Some(device) = w.sites[0].device.as_mut() {
-                device.observe(now);
-            }
-            if let Some(ledger) = &w.ledger {
-                ledger.lock().expect("lease ledger poisoned").observe(now);
-            }
-        }
     }
 
     /// Overrides how the sharded runner picks rendezvous boundaries (no-op
@@ -2421,25 +1924,16 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 self.engine.engine(s).world().workloads[i].report(window)
             })
             .collect();
-        let world_server = world.server();
-        let shards = self.engine.shards();
+        // Server, thread and token state live with the servers on shard 0.
+        let server = world.server();
         let mut threads = Vec::new();
-        for i in 0..world_server.active_threads() {
-            // Thread state advances only on the shard that owns the thread
-            // (shard 0 unless split-dataplane distributed them).
-            let tw = (0..shards)
-                .map(|s| self.engine.engine(s).world())
-                .find(|w| {
-                    w.sites[0].server.is_some() && w.thread_local.get(i).copied().unwrap_or(false)
-                })
-                .unwrap_or(world);
-            let server = tw.server();
-            let busy0 = tw
+        for i in 0..server.active_threads() {
+            let busy0 = world
                 .busy_snapshot
                 .get(i)
                 .copied()
                 .unwrap_or(SimDuration::ZERO);
-            let sched0 = tw
+            let sched0 = world
                 .sched_snapshot
                 .get(i)
                 .copied()
@@ -2451,48 +1945,19 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 stats: server.thread_stats(i),
             });
         }
-        // Token spend: each replica accounts only the threads it runs, so
-        // the split-mode total is the sum of per-shard local deltas (the
-        // single-server case reduces to shard 0's delta).
-        let mut spent_delta = 0i64;
-        for s in 0..shards {
-            let w = self.engine.engine(s).world();
-            let Some(server) = w.sites[0].server.as_ref() else {
-                continue;
-            };
-            for (id, now_mt) in server.tenants_spent_millitokens() {
-                let before = w.spent_snapshot.get(&id).copied().unwrap_or(0);
-                spent_delta += now_mt - before;
-            }
-        }
+        let spent_delta: i64 = server
+            .tenants_spent_millitokens()
+            .into_iter()
+            .map(|(id, now_mt)| now_mt - world.spent_snapshot.get(&id).copied().unwrap_or(0))
+            .sum();
         let token_usage_per_sec = spent_delta as f64 / 1_000.0 / window.as_secs_f64().max(1e-12);
-        // Renegotiation flags: in split mode each thread-owning shard's
-        // control plane sees its own threads' deficits; union and sort so
-        // the report does not depend on the shard count. (Non-split
-        // reports keep the control plane's insertion order.)
-        let renegotiations = if self.split {
-            let mut flagged: Vec<TenantId> = Vec::new();
-            for s in 0..shards {
-                if let Some(server) = self.engine.engine(s).world().sites[0].server.as_ref() {
-                    for id in server.renegotiations() {
-                        if !flagged.contains(&id) {
-                            flagged.push(id);
-                        }
-                    }
-                }
-            }
-            flagged.sort_by_key(|t| t.0);
-            flagged
-        } else {
-            world_server.renegotiations()
-        };
         TestbedReport {
             window,
             workloads,
             threads,
             token_usage_per_sec,
             device: world.device().stats(),
-            renegotiations,
+            renegotiations: server.renegotiations(),
             engine_events: (0..self.engine.shards())
                 .map(|s| self.engine.engine(s).dispatched())
                 .sum(),
@@ -2530,15 +1995,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             world.fabric.set_telemetry(telemetry.clone());
             for site in &mut world.sites {
                 if let Some(device) = site.device.as_mut() {
-                    // Device replicas (split mode, s > 0) apply *every*
-                    // command to stay bit-identical, so only shard 0's
-                    // devices record — anything else would double-count
-                    // per replica.
-                    if s == 0 {
-                        device.set_telemetry(telemetry.clone());
-                    } else {
-                        device.set_telemetry(Telemetry::disabled());
-                    }
+                    device.set_telemetry(telemetry.clone());
                 }
                 if let Some(server) = site.server.as_mut() {
                     server.set_telemetry(telemetry.clone());

@@ -26,33 +26,12 @@ fn run_signature(shards: usize) -> String {
 }
 
 fn run_signature_policy(shards: usize, policy: LookaheadPolicy) -> String {
-    run_signature_with(shards, policy, false)
-}
-
-/// Same scenario with the split-dataplane flag: dataplane threads (not
-/// just client machines) distribute across shards, the token bucket is a
-/// lease ledger, and the device applies staged commands on the window
-/// grid. Split-mode signatures are compared only against split-mode
-/// signatures — the lease quantization legitimately differs from the
-/// shared-bucket results.
-fn run_split_signature(shards: usize) -> String {
-    run_signature_with(shards, LookaheadPolicy::Adaptive, true)
-}
-
-fn run_signature_with(shards: usize, policy: LookaheadPolicy, split: bool) -> String {
     let mut tb = Testbed::builder()
         .seed(2027)
         .server_threads(2)
         .client_machines(vec![StackProfile::ix_tcp(); 4])
-        .build();
-    if split {
-        assert_eq!(
-            tb.enable_split_dataplane(),
-            Ok(()),
-            "scenario supports splitting"
-        );
-    }
-    let mut tb = tb.with_shards(shards);
+        .build()
+        .with_shards(shards);
     tb.set_lookahead_policy(policy);
 
     let mut w0 = WorkloadSpec::open_loop("lc-zipf", TenantId(1), lc(80_000, 95, 1_000), 80_000.0);
@@ -111,10 +90,6 @@ fn run_signature_with(shards: usize, policy: LookaheadPolicy, split: bool) -> St
 /// (`max(next_arrival, core_busy)`) and the window exchange's raw-bound
 /// arm must still produce identical pump instants.
 fn run_hot_signature(shards: usize) -> String {
-    run_hot_signature_with(shards, false)
-}
-
-fn run_hot_signature_with(shards: usize, split: bool) -> String {
     let mut tb = Testbed::builder()
         .seed(31)
         .server(ServerConfig {
@@ -124,15 +99,8 @@ fn run_hot_signature_with(shards: usize, split: bool) -> String {
         })
         .client_machines(vec![StackProfile::ix_tcp(); 4])
         .link(LinkConfig::forty_gbe())
-        .build();
-    if split {
-        assert_eq!(
-            tb.enable_split_dataplane(),
-            Ok(()),
-            "scenario supports splitting"
-        );
-    }
-    let mut tb = tb.with_shards(shards);
+        .build()
+        .with_shards(shards);
     for i in 0..4 {
         let mut spec = WorkloadSpec::open_loop(
             &format!("load{i}"),
@@ -159,12 +127,12 @@ fn run_hot_signature_with(shards: usize, split: bool) -> String {
     )
 }
 
-/// Overload on a multi-thread split server: two dataplane threads, each
-/// on its own NIC lane, offered ~1.1x what they can serve together. Every
-/// thread's `core_busy` runs milliseconds ahead of `now`, so responses
-/// depart in the future and deep unresolved backlogs sit on every client
-/// queue at once, with both threads' lanes feeding them across shards.
-fn run_overload_split_signature(shards: usize) -> String {
+/// Overload on a multi-thread server: two dataplane threads offered
+/// ~1.1x what they can serve together. Every thread's `core_busy` runs
+/// milliseconds ahead of `now`, so responses depart in the future and
+/// deep unresolved backlogs sit on every client queue at once, while the
+/// requests feeding both threads' NIC queues cross from the client shards.
+fn run_overload_signature(shards: usize) -> String {
     // Slower cores (3x the default per-message CPU) make the two threads,
     // not the ~1M IOPS device, the bottleneck.
     let default = DataplaneConfig::default();
@@ -184,13 +152,8 @@ fn run_overload_split_signature(shards: usize) -> String {
         })
         .client_machines(vec![StackProfile::ix_tcp(); 4])
         .link(LinkConfig::forty_gbe())
-        .build();
-    assert_eq!(
-        tb.enable_split_dataplane(),
-        Ok(()),
-        "scenario supports splitting"
-    );
-    let mut tb = tb.with_shards(shards);
+        .build()
+        .with_shards(shards);
     for i in 0..4 {
         let mut spec = WorkloadSpec::open_loop(
             &format!("load{i}"),
@@ -245,48 +208,12 @@ fn hot_single_thread_matches() {
     assert_eq!(run_hot_signature(1), run_hot_signature(2));
 }
 
-// Split-dataplane identity: with `enable_split_dataplane` the two server
-// threads get their own shards (plus NIC lanes, device replicas and lease
-// ledgers), and the results must still be byte-identical to the
-// split-mode single-shard run at every shard count.
-
 #[test]
-fn split_two_shards_match_split_single_shard() {
-    assert_eq!(run_split_signature(1), run_split_signature(2));
-}
-
-#[test]
-fn split_four_shards_match_split_single_shard() {
-    assert_eq!(run_split_signature(1), run_split_signature(4));
-}
-
-#[test]
-fn split_shard_count_beyond_entities_clamps() {
-    // 16 shards requested, 2 threads + 4 clients available: clamps to 6,
-    // still identical.
-    assert_eq!(run_split_signature(1), run_split_signature(16));
-}
-
-#[test]
-fn split_hot_single_thread_matches() {
-    // The near-saturation single-thread regime from
-    // `hot_single_thread_matches`, with the split machinery (lanes,
-    // windowed device, lease ledger) switched on.
-    assert_eq!(
-        run_hot_signature_with(1, true),
-        run_hot_signature_with(2, true)
-    );
-}
-
-#[test]
-fn split_overload_multi_thread_matches() {
-    // Past the knee with two split dataplane threads: backlogged future
-    // departures on several queues, resolved on different shards, must
-    // still give the single-shard bytes.
-    assert_eq!(
-        run_overload_split_signature(1),
-        run_overload_split_signature(3)
-    );
+fn overload_multi_thread_matches() {
+    // Past the knee with two dataplane threads: backlogged future
+    // departures on several queues, exchanged across shards, must still
+    // give the single-shard bytes.
+    assert_eq!(run_overload_signature(1), run_overload_signature(3));
 }
 
 #[test]

@@ -81,8 +81,7 @@ pub struct DataplaneConfig {
     /// Per-thread DRAM read cache in front of the flash device. `None`
     /// (the default) disables the tier entirely; `Some` gives every
     /// dataplane thread a private cache of the configured size, so the
-    /// tier composes with sharded and split-dataplane execution without
-    /// cross-shard coherence traffic.
+    /// tier needs no coherence traffic between threads or shards.
     pub cache: Option<CacheConfig>,
 }
 

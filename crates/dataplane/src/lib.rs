@@ -16,6 +16,8 @@
 
 mod abi;
 mod config;
+#[cfg(feature = "mutation-hooks")]
+pub mod mutation;
 mod thread;
 
 pub use abi::{AbiStatus, BufHandle, Cookie, EventCond, Syscall, TenantHandle};

@@ -607,10 +607,9 @@ impl DataplaneThread {
         let factor = self.config.conn_pressure.factor(self.connection_count());
         self.charge(self.config.tx_msg_cost.mul_f64(factor));
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             payload,
@@ -801,8 +800,8 @@ impl DataplaneThread {
 
     /// Completes a read hit at DRAM latency: response straight to the
     /// wire, flash SQ/channel/CQ untouched. The tenant pays the cheap
-    /// DRAM token cost from its local balance (never the shared pool, so
-    /// sharded and split runs stay byte-identical) and the hit counts as
+    /// DRAM token cost from its local balance (never the shared bucket,
+    /// whose give/take sequence is the same with or without a cache) and the hit counts as
     /// a submitted+completed IO for conservation.
     fn complete_hit(&mut self, fabric: &mut Fabric<WireMsg>, ctx: ReqCtx) {
         let cache_cfg = *self
@@ -822,10 +821,9 @@ impl DataplaneThread {
         self.charge(SimDuration::from_nanos(cache_cfg.hit_cpu_nanos).mul_f64(factor));
         self.charge(self.config.tx_msg_cost.mul_f64(factor));
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             payload,
@@ -878,10 +876,9 @@ impl DataplaneThread {
         let factor = self.config.conn_pressure.factor(self.connection_count());
         self.charge(self.config.tx_msg_cost.mul_f64(factor));
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             0,
@@ -998,10 +995,9 @@ impl DataplaneThread {
         let factor = self.config.conn_pressure.factor(self.connection_count());
         self.charge(self.config.tx_msg_cost.mul_f64(factor));
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             payload,
@@ -1161,8 +1157,12 @@ impl DataplaneThread {
                 &mut comps,
             );
             for c in comps.drain(..) {
-                self.handle_completion(fabric, c);
                 progress = true;
+                #[cfg(feature = "mutation-hooks")]
+                if crate::mutation::lose_completion() {
+                    continue;
+                }
+                self.handle_completion(fabric, c);
             }
             self.cq_scratch = comps;
 

@@ -96,25 +96,6 @@ struct Nic {
     tx_seq: u64,
 }
 
-/// Per-queue NIC state for a machine whose dataplane threads may live on
-/// different shards (split-dataplane mode). Each lane carries its own
-/// busy chains, jitter RNG stream, and transmit counter so a thread's
-/// traffic touches only its own lane — which is what lets each lane live
-/// on its thread's shard without cross-shard NIC state.
-#[derive(Clone)]
-struct Lane {
-    tx_busy: SimTime,
-    rx_busy: SimTime,
-    rng: SimRng,
-    tx_seq: u64,
-}
-
-#[derive(Clone)]
-struct Lanes {
-    machine: MachineId,
-    lanes: Vec<Lane>,
-}
-
 /// What a [`NetFaultHook`] does to one message in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFaultAction {
@@ -269,19 +250,6 @@ impl<P> Ord for Flight<P> {
 struct ShardRoutes {
     own: usize,
     shard_of: Vec<usize>,
-    /// Queue-granular routing for the lane machine (split-dataplane mode):
-    /// flights to it are owned by the shard of their destination queue's
-    /// thread, not by a single machine-owning shard.
-    queue_shards: Option<(MachineId, Vec<usize>)>,
-}
-
-impl ShardRoutes {
-    fn dest_shard(&self, to: MachineId, queue: NicQueueId) -> usize {
-        match &self.queue_shards {
-            Some((m, qs)) if *m == to => qs[queue.0 as usize],
-            _ => self.shard_of[to.0 as usize],
-        }
-    }
 }
 
 /// The shared network fabric over which all machines communicate.
@@ -320,8 +288,6 @@ pub struct Fabric<P> {
     links: Vec<(MachineId, MachineId)>,
     /// Windowed delivery state; `None` in (default) immediate mode.
     windowed: Option<Windowed<P>>,
-    /// Per-queue NIC lanes (split-dataplane mode); `None` normally.
-    lanes: Option<Lanes>,
 }
 
 /// State of windowed delivery mode (split send: the transmit half runs at
@@ -353,12 +319,12 @@ struct Windowed<P> {
 }
 
 impl<P> Windowed<P> {
-    /// Queues a freshly sent flight: locally when this endpoint resolves
-    /// its destination queue, otherwise for the next window exchange.
+    /// Queues a freshly sent flight: locally when this endpoint simulates
+    /// its destination machine, otherwise for the next window exchange.
     fn route(&mut self, flight: Flight<P>) {
         match &self.routes {
-            Some(r) if r.dest_shard(flight.to, flight.queue) != r.own => {
-                let dest = r.dest_shard(flight.to, flight.queue);
+            Some(r) if r.shard_of[flight.to.0 as usize] != r.own => {
+                let dest = r.shard_of[flight.to.0 as usize];
                 self.outbound.push((dest, flight));
             }
             _ => self.push(flight),
@@ -433,7 +399,6 @@ impl<P> Fabric<P> {
             telemetry: Telemetry::disabled(),
             links: Vec::new(),
             windowed: None,
-            lanes: None,
         }
     }
 
@@ -481,48 +446,6 @@ impl<P> Fabric<P> {
     /// Whether windowed delivery is enabled.
     pub fn is_windowed(&self) -> bool {
         self.windowed.is_some()
-    }
-
-    /// Switches `machine`'s NIC to per-queue lanes (split-dataplane mode):
-    /// every receive queue gets its own tx/rx busy chains, jitter RNG
-    /// stream, and transmit counter, so each dataplane thread's traffic
-    /// touches only its own lane and the machine's threads can be placed
-    /// on different shards. Queue-aware sends go through
-    /// [`send_from`](Self::send_from); arrivals resolve against the lane
-    /// of their destination queue.
-    ///
-    /// Lane RNG streams derive from the machine and queue ids, so lane
-    /// timing is a pure function of the flight set — identical at any
-    /// shard count. Must be called before any traffic on `machine`, after
-    /// all its queues exist, and with windowed delivery enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if windowed mode is off or a fault hook is installed
-    /// (per-message hooks observe global send order).
-    pub fn enable_lanes(&mut self, machine: MachineId) {
-        assert!(self.windowed.is_some(), "lanes require windowed delivery");
-        assert!(
-            self.fault_hook.is_none(),
-            "lanes are incompatible with fault injection"
-        );
-        let queues = self.rx_queues[machine.0 as usize].len();
-        let lanes = (0..queues)
-            .map(|q| Lane {
-                tx_busy: SimTime::ZERO,
-                rx_busy: SimTime::ZERO,
-                rng: SimRng::seed(
-                    self.nic_seed ^ (0x9e37_79b9 * (machine.0 as u64 + 1)) ^ ((q as u64 + 1) << 32),
-                ),
-                tx_seq: 0,
-            })
-            .collect();
-        self.lanes = Some(Lanes { machine, lanes });
-    }
-
-    /// Whether `machine`'s NIC runs per-queue lanes.
-    pub fn has_lanes(&self, machine: MachineId) -> bool {
-        matches!(&self.lanes, Some(l) if l.machine == machine)
     }
 
     /// Whether a fault-injection hook is installed.
@@ -734,84 +657,6 @@ impl<P> Fabric<P> {
         )
     }
 
-    /// Like [`send`](Self::send) but names the *sending* queue: when
-    /// `from` runs per-queue lanes (see [`enable_lanes`](Self::enable_lanes))
-    /// the transmit half uses `from_queue`'s lane — its own busy chain,
-    /// jitter RNG, and (queue-namespaced) transmit counter — instead of the
-    /// machine-wide NIC state. Falls back to [`send`](Self::send) exactly
-    /// when lanes are not active on `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` or either machine id is unknown.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_from(
-        &mut self,
-        now: SimTime,
-        from: MachineId,
-        from_queue: NicQueueId,
-        to: MachineId,
-        conn: ConnId,
-        size: u32,
-        payload: P,
-    ) -> SimTime
-    where
-        P: Clone,
-    {
-        if !self.has_lanes(from) {
-            return self.send(now, from, to, conn, size, payload);
-        }
-        assert_ne!(from, to, "loopback is not modelled");
-        debug_assert!(
-            self.pair_linked(from, to),
-            "send on undeclared link {from:?} -> {to:?}"
-        );
-        debug_assert!(
-            self.fault_hook.is_none(),
-            "lanes are incompatible with fault injection"
-        );
-        let overhead = self.nics[from.0 as usize].stack.transport.frame_overhead();
-        let bytes = wire_bytes_with(size as usize, overhead);
-        let ser = self.link.serialization(bytes);
-
-        // Transmit half against the lane, not the machine NIC.
-        let stack = &self.nics[from.0 as usize].stack;
-        let lanes = self.lanes.as_mut().expect("checked has_lanes");
-        let lane = &mut lanes.lanes[from_queue.0 as usize];
-        let tx_stack = stack.sample_tx(&mut lane.rng);
-        let depart_start = (now + tx_stack).max(lane.tx_busy);
-        let departed = depart_start + ser;
-        lane.tx_busy = departed;
-        // Namespace the transmit counter by queue so flight keys from
-        // different lanes of one machine can never collide.
-        let tx_seq = ((from_queue.0 as u64 + 1) << 48) | lane.tx_seq;
-        lane.tx_seq += 1;
-        self.nics[from.0 as usize].tx_bytes += size as u64;
-
-        let w = self
-            .windowed
-            .as_mut()
-            .expect("lanes require windowed delivery");
-        let flight = Flight {
-            departed,
-            src: from,
-            tx_seq,
-            to,
-            queue: NicQueueId(0),
-            conn,
-            size,
-            ser,
-            sent_at: now,
-            bound: departed + self.link.propagation,
-            stage: Stage::Egress,
-            fault: NetFaultAction::Deliver,
-            payload,
-        };
-        let bound = flight.bound;
-        w.route(flight);
-        bound
-    }
-
     /// Replaces `machine`'s network stack profile. Used by fault injection
     /// to model latency storms (a degraded stack for a window of time);
     /// the NIC's jitter RNG stream is untouched.
@@ -1017,26 +862,11 @@ impl<P> Fabric<P> {
     where
         P: Clone,
     {
-        // A lane machine receives against the destination queue's lane
-        // (its own rx chain and RNG stream), so per-queue arrival timing
-        // is independent of which shard resolves the other queues.
-        let (rx_done, rx_stack) = if self.has_lanes(f.to) {
-            let stack = &self.nics[f.to.0 as usize].stack;
-            let lanes = self.lanes.as_mut().expect("checked has_lanes");
-            let lane = &mut lanes.lanes[f.queue.0 as usize];
-            let rx_done = f.bound.max(lane.rx_busy) + f.ser;
-            lane.rx_busy = rx_done;
-            let rx_stack = stack.sample_rx(&mut lane.rng);
-            (rx_done, rx_stack)
-        } else {
-            let dst = &mut self.nics[f.to.0 as usize];
-            let rx_done = f.bound.max(dst.rx_busy) + f.ser;
-            dst.rx_busy = rx_done;
-            let rx_stack = dst.stack.sample_rx(&mut dst.rng);
-            (rx_done, rx_stack)
-        };
-        let mut arrived_at = rx_done + rx_stack;
-        self.nics[f.to.0 as usize].rx_bytes += f.size as u64;
+        let dst = &mut self.nics[f.to.0 as usize];
+        let rx_done = f.bound.max(dst.rx_busy) + f.ser;
+        dst.rx_busy = rx_done;
+        let mut arrived_at = rx_done + dst.stack.sample_rx(&mut dst.rng);
+        dst.rx_bytes += f.size as u64;
 
         let mut copies = 1u32;
         match f.fault {
@@ -1122,28 +952,6 @@ impl<P> Fabric<P> {
     where
         P: Clone,
     {
-        self.split_for_shard_with_queues(shard_of, own, None)
-    }
-
-    /// [`split_for_shard`](Self::split_for_shard) with queue-granular
-    /// routing for a lane machine (split-dataplane mode):
-    /// `queue_shards = Some((machine, map))` routes flights addressed to
-    /// `machine` to the shard owning their destination queue's thread
-    /// instead of a single machine-owning shard.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`split_for_shard`](Self::split_for_shard), plus if the
-    /// queue map does not cover every queue of the lane machine.
-    pub fn split_for_shard_with_queues(
-        &self,
-        shard_of: &[usize],
-        own: usize,
-        queue_shards: Option<(MachineId, Vec<usize>)>,
-    ) -> Fabric<P>
-    where
-        P: Clone,
-    {
         assert!(self.windowed.is_some(), "sharding requires windowed mode");
         assert!(
             self.fault_hook.is_none(),
@@ -1154,23 +962,11 @@ impl<P> Fabric<P> {
             self.nics.len(),
             "shard map must cover all machines"
         );
-        if let Some((m, qs)) = &queue_shards {
-            assert!(
-                self.has_lanes(*m),
-                "queue-granular routing requires lanes on the split machine"
-            );
-            assert_eq!(
-                qs.len(),
-                self.rx_queues[m.0 as usize].len(),
-                "queue shard map must cover every queue"
-            );
-        }
         let mut windowed = self.windowed.clone();
         if let Some(w) = windowed.as_mut() {
             w.routes = Some(ShardRoutes {
                 own,
                 shard_of: shard_of.to_vec(),
-                queue_shards,
             });
         }
         Fabric {
@@ -1186,7 +982,6 @@ impl<P> Fabric<P> {
             telemetry: self.telemetry.clone(),
             links: self.links.clone(),
             windowed,
-            lanes: self.lanes.clone(),
         }
     }
 
@@ -1409,74 +1204,6 @@ mod tests {
             assert!(w[0].arrived_at <= w[1].arrived_at);
         }
         assert!(f.next_arrival(b).is_none());
-    }
-
-    #[test]
-    fn lane_split_matches_unsplit_fabric() {
-        // A two-queue lane machine split queue-granularly across two
-        // shards must deliver identically to the unsplit lane fabric.
-        let build = || {
-            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(11));
-            let client = f.add_machine(StackProfile::linux_tcp());
-            let server = f.add_machine(StackProfile::dataplane_raw());
-            let q1 = f.add_queue(server);
-            assert_eq!(q1, NicQueueId(1));
-            f.enable_windowed();
-            f.enable_lanes(server);
-            (f, client, server)
-        };
-        let (mut whole, client, server) = build();
-        let (base, _, _) = build();
-        // Client + queue 0's thread on shard 0, queue 1's thread on shard 1.
-        let shard_of = vec![0usize, 0];
-        let queue_shards = Some((server, vec![0usize, 1]));
-        let mut s0 = base.split_for_shard_with_queues(&shard_of, 0, queue_shards.clone());
-        let mut s1 = base.split_for_shard_with_queues(&shard_of, 1, queue_shards);
-        let conn = whole.new_conn();
-
-        for i in 0..50u64 {
-            let t = SimTime::from_nanos(i * 137);
-            let q = NicQueueId((i % 2) as u32);
-            whole.send_to_queue(t, client, server, q, conn, 1024, i as u32);
-            // The client machine lives on shard 0; its NIC state advances
-            // there and queue-1 flights travel to shard 1.
-            s0.send_to_queue(t, client, server, q, conn, 1024, i as u32);
-            // Server responses from each queue's lane.
-            whole.send_from(t, server, q, client, conn, 64, 1_000 + i as u32);
-            if q == NicQueueId(0) {
-                s0.send_from(t, server, q, client, conn, 64, 1_000 + i as u32);
-            } else {
-                s1.send_from(t, server, q, client, conn, 64, 1_000 + i as u32);
-            }
-        }
-        // Exchange outbound flights, then raise every horizon.
-        let mut sink = Vec::new();
-        s0.take_outbound(&mut sink);
-        s1.take_outbound(&mut sink);
-        for (shard, flight) in sink {
-            match shard {
-                0 => s0.accept_flight(flight),
-                _ => s1.accept_flight(flight),
-            }
-        }
-        let late = SimTime::from_millis(1);
-        whole.observe(late);
-        s0.observe(late);
-        s1.observe(late);
-
-        let w0 = whole.poll_queue(late, server, NicQueueId(0), usize::MAX);
-        let w1 = whole.poll_queue(late, server, NicQueueId(1), usize::MAX);
-        let p0 = s0.poll_queue(late, server, NicQueueId(0), usize::MAX);
-        let p1 = s1.poll_queue(late, server, NicQueueId(1), usize::MAX);
-        assert_eq!(w0.len(), 25);
-        assert_eq!(w1.len(), 25);
-        assert_eq!(w0, p0, "queue 0 deliveries diverged");
-        assert_eq!(w1, p1, "queue 1 deliveries diverged");
-        // Client-bound responses from both lanes land on shard 0.
-        let wc = whole.poll(late, client, usize::MAX);
-        let pc = s0.poll(late, client, usize::MAX);
-        assert_eq!(wc, pc, "client deliveries diverged");
-        assert_eq!(wc.len(), 50);
     }
 
     #[test]

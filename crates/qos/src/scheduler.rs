@@ -19,7 +19,6 @@ use reflex_telemetry::Telemetry;
 
 use crate::bucket::GlobalBucket;
 use crate::cost::{CostModel, LoadMix};
-use crate::lease::TokenPool;
 use crate::slo::{SloSpec, TenantId};
 use crate::tokens::{TokenGen, TokenRate, Tokens};
 
@@ -166,7 +165,7 @@ impl std::error::Error for QosError {}
 #[derive(Debug)]
 pub struct QosScheduler<R> {
     thread_idx: u32,
-    pool: TokenPool,
+    bucket: Arc<GlobalBucket>,
     model: CostModel,
     params: SchedulerParams,
     prev_sched_time: SimTime,
@@ -192,7 +191,7 @@ impl<R> QosScheduler<R> {
     ) -> Self {
         QosScheduler {
             thread_idx,
-            pool: TokenPool::Shared(bucket),
+            bucket,
             model,
             params,
             prev_sched_time: now,
@@ -212,14 +211,6 @@ impl<R> QosScheduler<R> {
     /// submission order are bit-for-bit unchanged.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Replaces the spare-token pool. The split-dataplane testbed swaps in
-    /// a [`TokenPool::Leased`] ledger replica after construction; the
-    /// default [`TokenPool::Shared`] arm is bit-identical to the historical
-    /// direct-bucket path.
-    pub fn set_pool(&mut self, pool: TokenPool) {
-        self.pool = pool;
     }
 
     /// The cost model in force.
@@ -420,11 +411,10 @@ impl<R> QosScheduler<R> {
     /// [`schedule_into`](Self::schedule_into); they still consume the
     /// tenant's provisioned rate — at DRAM cost, not flash cost — so rate
     /// limits keep reflecting real device load. The debit touches only
-    /// tenant-local state (never the shared/leased token pool), which is
-    /// what keeps sharded and split-dataplane runs byte-identical: the
-    /// pool sees exactly the same give/take sequence with or without a
-    /// cache. The balance may go negative; the tenant's own generation
-    /// repays it before further flash admissions.
+    /// tenant-local state (never the shared token bucket), so the bucket
+    /// sees exactly the same give/take sequence with or without a cache.
+    /// The balance may go negative; the tenant's own generation repays it
+    /// before further flash admissions.
     pub fn spend_dram_hit(&mut self, id: TenantId, cost: Tokens) -> Result<(), QosError> {
         if let Some(s) = self.lc.get_mut(&id) {
             s.tokens -= cost;
@@ -506,7 +496,7 @@ impl<R> QosScheduler<R> {
             let pos_limit: Tokens = s.recent_gen.iter().copied().sum();
             if s.tokens > pos_limit {
                 let donation = s.tokens.mul_f64(self.params.donate_fraction);
-                self.pool.give(now, self.thread_idx, donation);
+                self.bucket.give(donation);
                 s.tokens -= donation;
             }
         }
@@ -527,7 +517,7 @@ impl<R> QosScheduler<R> {
             };
             let deficit = demand - s.tokens;
             if deficit.is_positive() {
-                s.tokens += self.pool.take(now, self.thread_idx, deficit);
+                s.tokens += self.bucket.take(deficit);
             }
 
             // Conditional submission: only while the tenant can pay in full.
@@ -547,7 +537,7 @@ impl<R> QosScheduler<R> {
 
             // DRR rule: no token accumulation while idle.
             if s.tokens.is_positive() && s.queue.is_empty() {
-                self.pool.give(now, self.thread_idx, s.tokens);
+                self.bucket.give(s.tokens);
                 s.tokens = Tokens::ZERO;
             }
         }
@@ -555,7 +545,7 @@ impl<R> QosScheduler<R> {
             self.be_cursor = (self.be_cursor + 1) % n_be;
         }
 
-        out.reset_bucket = self.pool.mark_round(now, self.thread_idx);
+        out.reset_bucket = self.bucket.mark_round(self.thread_idx);
 
         if self.telemetry.is_enabled() {
             self.telemetry.count("qos.rounds", 1);

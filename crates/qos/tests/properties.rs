@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use reflex_flash::IoType;
 use reflex_qos::{
-    CostModel, CostedRequest, GlobalBucket, LeaseEntry, LeaseLedger, LoadMix, QosScheduler,
-    SchedulerParams, SloSpec, TenantId, TokenGen, TokenRate, Tokens,
+    CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, SchedulerParams, SloSpec,
+    TenantId, TokenGen, TokenRate, Tokens,
 };
 use reflex_sim::{SimDuration, SimTime};
 
@@ -126,73 +126,6 @@ proptest! {
             prop_assert!(bucket.balance().as_millitokens() >= 0);
         }
         prop_assert_eq!(given - taken, bucket.balance().as_millitokens());
-    }
-
-    /// Lease conservation across carve / re-balance / merge: for any
-    /// give/take/mark sequence over any replica split, every replica's
-    /// per-thread leases and residue equal the monolithic ledger's at
-    /// every window boundary (Σ shard leases + residue == monolithic
-    /// pool), grants agree at stage time, and the conservation identity
-    /// `gives == residue + Σ leases + taken + discarded` holds.
-    #[test]
-    fn lease_ledger_replicas_match_monolithic(
-        windows in prop::collection::vec(
-            prop::collection::vec((0u32..4, 0u8..3, 1i64..50_000), 0..12),
-            1..20,
-        ),
-        replicas in 1usize..4,
-    ) {
-        let threads = 4u32;
-        let w = SimDuration::from_micros(1);
-        let mut mono = LeaseLedger::new(threads, w);
-        let mut reps: Vec<LeaseLedger> =
-            (0..replicas).map(|_| LeaseLedger::new(threads, w)).collect();
-        for (k, ops) in windows.iter().enumerate() {
-            for (i, (thread, kind, amount)) in ops.iter().enumerate() {
-                let at = SimTime::from_nanos(k as u64 * 1_000 + i as u64);
-                let owner = (*thread as usize) % replicas;
-                match kind {
-                    0 => {
-                        mono.give(at, *thread, Tokens::from_millitokens(*amount));
-                        reps[owner].give(at, *thread, Tokens::from_millitokens(*amount));
-                    }
-                    1 => {
-                        let g_mono = mono.take(at, *thread, Tokens::from_millitokens(*amount));
-                        let g_rep =
-                            reps[owner].take(at, *thread, Tokens::from_millitokens(*amount));
-                        prop_assert_eq!(g_mono, g_rep, "grant divergence at window {}", k);
-                    }
-                    _ => {
-                        mono.mark_round(at, *thread);
-                        reps[owner].mark_round(at, *thread);
-                    }
-                }
-            }
-            // Window boundary: exchange staged entries (the flight
-            // broadcast) and apply everywhere at the same instant.
-            let boundary = SimTime::from_nanos((k as u64 + 1) * 1_000);
-            let outs: Vec<Vec<LeaseEntry>> =
-                reps.iter_mut().map(LeaseLedger::take_outbound).collect();
-            for (i, rep) in reps.iter_mut().enumerate() {
-                for (j, out) in outs.iter().enumerate() {
-                    if i != j {
-                        rep.accept(out);
-                    }
-                }
-                rep.observe(boundary);
-            }
-            mono.observe(boundary);
-            for rep in &reps {
-                for t in 0..threads {
-                    prop_assert_eq!(rep.lease_of(t), mono.lease_of(t));
-                }
-                prop_assert_eq!(rep.residue(), mono.residue());
-                prop_assert_eq!(rep.gives_cum(), mono.gives_cum());
-                prop_assert_eq!(rep.taken_cum(), mono.taken_cum());
-                prop_assert_eq!(rep.discarded_cum(), mono.discarded_cum());
-                prop_assert_eq!(rep.accounted(), rep.gives_cum());
-            }
-        }
     }
 
     /// BE fairness: two identical BE tenants served from the same rate for

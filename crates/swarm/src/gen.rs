@@ -5,15 +5,15 @@
 //! comes from one [`SwarmRng`] stream, consumed in a fixed order), so
 //! `--seed N` is a total repro of a swarm run. Cases are **valid by
 //! construction**: the generator only emits combinations the stack
-//! defines semantics for — fault campaigns force the unified
-//! single-shard dataplane (fault hooks and splitting are mutually
-//! exclusive by design, see `SplitFallback`), fault targets are bounded
-//! by the generated topology, and every tenant of a faulty case carries
-//! a retry policy so lost requests terminate instead of leaking open
-//! spans. Latency-critical reservations are capped well under device
-//! capacity; tenants the admission controller still rejects are dropped
-//! (rejection is legitimate behavior, not a generator bug) and the
-//! first tenant is always best-effort so every case carries traffic.
+//! defines semantics for — fault campaigns run single-shard (fault hooks
+//! and sharding are mutually exclusive by design, see `ShardClamp`),
+//! fault targets are bounded by the generated topology, and every
+//! tenant of a faulty case carries a retry policy so lost requests
+//! terminate instead of leaking open spans. Latency-critical
+//! reservations are capped well under device capacity; tenants the
+//! admission controller still rejects are dropped (rejection is
+//! legitimate behavior, not a generator bug) and the first tenant is
+//! always best-effort so every case carries traffic.
 //!
 //! A case also round-trips through a one-line string (`Display` /
 //! `FromStr`) so shrunk cases — which are generally *not* derivable
@@ -38,8 +38,6 @@ pub enum Topology {
         clients: usize,
         /// Requested shard count (1..=4; clamping is legal and recorded).
         shards: usize,
-        /// Split-dataplane execution (healthy cases only).
-        split: bool,
         /// Per-thread DRAM cache capacity in MiB (0 = tier disabled).
         cache_mb: u64,
     },
@@ -124,17 +122,20 @@ impl SwarmCase {
         let server_threads = rng.range(1, 2) as usize;
         let clients = rng.range(1, 3) as usize;
         let faulty = rng.chance(40);
-        // Fault hooks and split/sharded execution are mutually exclusive
-        // by design; generate only combinations with defined semantics.
-        let (shards, split) = if faulty {
-            (1, false)
+        // Fault hooks and sharded execution are mutually exclusive by
+        // design; generate only combinations with defined semantics.
+        let shards = if faulty {
+            1
         } else {
             let shards = if rng.chance(50) {
                 1
             } else {
                 rng.range(2, 4) as usize
             };
-            (shards, rng.chance(40))
+            // Former split-dataplane draw, kept so every seed still
+            // derives the same case it did before that mode was removed.
+            let _ = rng.chance(40);
+            shards
         };
 
         let mut tenants = Vec::new();
@@ -276,7 +277,6 @@ impl SwarmCase {
                 server_threads,
                 clients,
                 shards,
-                split,
                 cache_mb,
             },
             tenants,
@@ -367,12 +367,10 @@ impl fmt::Display for SwarmCase {
                 server_threads,
                 clients,
                 shards,
-                split,
                 cache_mb,
             } => write!(
                 f,
-                "|topo=core:{server_threads}:{clients}:{shards}:{}:{cache_mb}",
-                u8::from(split)
+                "|topo=core:{server_threads}:{clients}:{shards}:0:{cache_mb}"
             )?,
             Topology::Replicated {
                 sites,
@@ -437,20 +435,23 @@ impl FromStr for SwarmCase {
                 "topo" => {
                     let parts: Vec<&str> = value.split(':').collect();
                     topology = Some(match parts.as_slice() {
+                        // The fifth part once selected split-dataplane
+                        // mode; it is always `0` now.
+                        ["core", _, _, _, "1", ..] => {
+                            return Err("split-dataplane mode was removed".into())
+                        }
                         // Pre-cache corpus lines carry five parts; they mean
                         // "cache tier off".
-                        ["core", t, c, sh, sp] => Topology::Core {
+                        ["core", t, c, sh, "0"] => Topology::Core {
                             server_threads: parse_num("threads", t)?,
                             clients: parse_num("clients", c)?,
                             shards: parse_num("shards", sh)?,
-                            split: *sp == "1",
                             cache_mb: 0,
                         },
-                        ["core", t, c, sh, sp, mb] => Topology::Core {
+                        ["core", t, c, sh, "0", mb] => Topology::Core {
                             server_threads: parse_num("threads", t)?,
                             clients: parse_num("clients", c)?,
                             shards: parse_num("shards", sh)?,
-                            split: *sp == "1",
                             cache_mb: parse_num("cache_mb", mb)?,
                         },
                         ["repl", s, r, sh] => Topology::Replicated {
@@ -537,6 +538,22 @@ mod tests {
     }
 
     #[test]
+    fn removed_split_mode_is_refused() {
+        let line = SwarmCase::from_seed(1).to_string();
+        let Some((head, tail)) = line.split_once("|topo=core:") else {
+            panic!("seed 1 is a core case: {line}");
+        };
+        let mut parts: Vec<&str> = tail.splitn(5, ':').collect();
+        assert_eq!(parts[3], "0", "{line}");
+        parts[3] = "1";
+        let split = format!("{head}|topo=core:{}", parts.join(":"));
+        assert_eq!(
+            split.parse::<SwarmCase>(),
+            Err("split-dataplane mode was removed".to_string())
+        );
+    }
+
+    #[test]
     fn cases_are_valid_by_construction() {
         for seed in 0..512 {
             let case = SwarmCase::from_seed(seed);
@@ -546,7 +563,6 @@ mod tests {
                     server_threads,
                     clients,
                     shards,
-                    split,
                     cache_mb,
                 } => {
                     assert!((1..=2).contains(&server_threads));
@@ -557,9 +573,8 @@ mod tests {
                         "seed {seed}: cache_mb {cache_mb}"
                     );
                     if case.faulty() {
-                        // Fault hooks force the unified single-shard path.
+                        // Fault hooks force the single-shard path.
                         assert_eq!(shards, 1, "seed {seed}");
-                        assert!(!split, "seed {seed}");
                         assert!(case.tenants.iter().all(|t| t.retry), "seed {seed}");
                     }
                     for e in &case.faults.events {
@@ -606,7 +621,6 @@ mod tests {
 
     #[test]
     fn seeds_cover_every_regime() {
-        let mut split = 0;
         let mut sharded = 0;
         let mut faulty = 0;
         let mut replicated = 0;
@@ -619,14 +633,8 @@ mod tests {
             }
             match c.topology {
                 Topology::Core {
-                    shards,
-                    split: s,
-                    cache_mb,
-                    ..
+                    shards, cache_mb, ..
                 } => {
-                    if s {
-                        split += 1;
-                    }
                     if shards > 1 {
                         sharded += 1;
                     }
@@ -642,7 +650,6 @@ mod tests {
         }
         // The CI budget (≥100 seeds) must exercise every oracle family;
         // require each regime to appear often in any 256-seed window.
-        assert!(split >= 10, "split cases too rare: {split}/256");
         assert!(sharded >= 20, "sharded cases too rare: {sharded}/256");
         assert!(faulty >= 40, "faulty cases too rare: {faulty}/256");
         assert!(

@@ -7,9 +7,9 @@
 //! reflex-swarm --repro '<case line>'  # replay a shrunk case
 //! reflex-swarm --corpus <file>        # replay a seed-per-line corpus
 //! reflex-swarm --mutate               # (feature `mutation`) flip the
-//!                                     # lease-skim bug on; the sweep
-//!                                     # must fail, proving the oracles
-//!                                     # can see a real accounting bug
+//!                                     # lost-completion bug on; the
+//!                                     # sweep must fail, proving the
+//!                                     # oracles can see a lost IO
 //! ```
 //!
 //! Exit code 0 = every case passed; 1 = at least one oracle violation
@@ -98,8 +98,8 @@ fn main() -> ExitCode {
     if args.mutate {
         #[cfg(feature = "mutation")]
         {
-            reflex_qos::mutation::set_lease_skim(true);
-            eprintln!("reflex-swarm: MUTATION ACTIVE — lease skim on; this sweep must fail");
+            reflex_dataplane::mutation::set_lost_completions(true);
+            eprintln!("reflex-swarm: MUTATION ACTIVE — lost completions on; this sweep must fail");
         }
         #[cfg(not(feature = "mutation"))]
         {

@@ -3,8 +3,8 @@
 //!
 //! A family is *checked* when the case's configuration gives it
 //! something to bite on, and *vacuous* (with a stated reason) when the
-//! configuration makes it undefined — e.g. lease conservation only
-//! exists once a split-dataplane ledger exists. The runner reports the
+//! configuration makes it undefined — e.g. the token budget only
+//! exists once a latency-critical tenant reserves tokens. The runner reports the
 //! status of all five for every case, so a CI sweep can prove each
 //! family actually fired within its seed budget.
 
@@ -18,13 +18,13 @@ pub enum OracleFamily {
     /// Per-tenant `submitted == completed + failed + retried` and zero
     /// open spans, after generators stop and queues drain.
     IoConservation,
-    /// Split-dataplane ledger: `gives == residue + Σ leases + taken +
-    /// discarded` (and, unified, token spend within the device budget).
-    LeaseConservation,
+    /// Token spend stays within the device budget at the strictest
+    /// admitted latency-critical SLO.
+    TokenBudget,
     /// Replication: membership epochs only ever increase, member sets
     /// stay well-formed, failovers and epoch bumps correspond.
     QuorumEpoch,
-    /// Byte-identical reports between the case's sharded/split execution
+    /// Byte-identical reports between the case's sharded execution
     /// and the mono execution of the same scenario (or an exact re-run,
     /// for fault campaigns that pin execution to one shard).
     ShardIdentity,
@@ -37,7 +37,7 @@ impl OracleFamily {
     /// All five, in reporting order.
     pub const ALL: [OracleFamily; 5] = [
         OracleFamily::IoConservation,
-        OracleFamily::LeaseConservation,
+        OracleFamily::TokenBudget,
         OracleFamily::QuorumEpoch,
         OracleFamily::ShardIdentity,
         OracleFamily::AllocBudget,
@@ -47,7 +47,7 @@ impl OracleFamily {
     pub fn name(self) -> &'static str {
         match self {
             OracleFamily::IoConservation => "io-conservation",
-            OracleFamily::LeaseConservation => "lease-conservation",
+            OracleFamily::TokenBudget => "token-budget",
             OracleFamily::QuorumEpoch => "quorum-epoch",
             OracleFamily::ShardIdentity => "shard-identity",
             OracleFamily::AllocBudget => "alloc-budget",
@@ -132,20 +132,6 @@ pub fn check_io_conservation(snapshot: &TelemetrySnapshot, out: &mut Vec<Violati
         out.push(Violation {
             family: OracleFamily::IoConservation,
             detail: "every tenant recorded zero submissions".into(),
-        });
-    }
-}
-
-/// Checks the ledger half of the lease-conservation family.
-pub fn check_lease_ledger(gives: i64, accounted: i64, out: &mut Vec<Violation>) {
-    if gives != accounted {
-        out.push(Violation {
-            family: OracleFamily::LeaseConservation,
-            detail: format!(
-                "lease ledger broke conservation: gives {gives} != residue + Σ leases + \
-                 taken + discarded = {accounted} (drift {})",
-                gives - accounted
-            ),
         });
     }
 }
@@ -235,7 +221,7 @@ pub fn check_membership(
     }
 }
 
-/// Checks the shard/split identity family.
+/// Checks the shard identity family.
 pub fn check_identity(kind: &str, a: &str, b: &str, out: &mut Vec<Violation>) {
     if a != b {
         // Find the first divergent region so the report is readable.

@@ -3,15 +3,15 @@
 //! Two executions per case: the **oracle run** at one shard (where
 //! every workload generator is reachable for the stop-and-drain
 //! conservation check) and the **identity partner** at the case's
-//! sharded/split configuration. The identity family asserts the two
+//! sharded configuration. The identity family asserts the two
 //! produce byte-identical reports, which transfers every mono-run
 //! oracle verdict to the parallel execution. Fault campaigns pin
 //! execution to one shard by design, so their partner is an exact
 //! re-run — a plain determinism check.
 //!
 //! Healthy core cases additionally run an **alloc pass**: the same
-//! scenario, telemetry off, unified dataplane, measured under the
-//! counting allocator (when the embedding binary installed it).
+//! scenario, telemetry off, one shard, measured under the counting
+//! allocator (when the embedding binary installed it).
 
 use std::sync::Mutex;
 
@@ -23,8 +23,8 @@ use reflex_sim::SimDuration;
 
 use crate::gen::{SwarmCase, TenantSpec, Topology};
 use crate::oracle::{
-    check_alloc, check_epochs, check_identity, check_io_conservation, check_lease_ledger,
-    check_membership, FamilyStatus, OracleFamily, Violation,
+    check_alloc, check_epochs, check_identity, check_io_conservation, check_membership,
+    FamilyStatus, OracleFamily, Violation,
 };
 
 /// Drain window after generators stop. Sized for the worst admissible
@@ -167,12 +167,7 @@ fn core_spec(i: usize, t: &TenantSpec) -> WorkloadSpec {
 /// Builds, populates and runs a core testbed through warmup + measure.
 /// Returns `None` only if every tenant was rejected (a generator bug —
 /// reported as an IO-conservation violation upstream).
-fn run_core(
-    case: &SwarmCase,
-    shards: usize,
-    split: bool,
-    telemetry: bool,
-) -> (Testbed, CoreArtifacts) {
+fn run_core(case: &SwarmCase, shards: usize, telemetry: bool) -> (Testbed, CoreArtifacts) {
     let Topology::Core {
         server_threads,
         clients,
@@ -197,10 +192,6 @@ fn run_core(
     let mut notes = Vec::new();
     if !case.faults.is_empty() {
         let _stats = install(&case.faults, &mut tb);
-    }
-    if split {
-        tb.enable_split_dataplane()
-            .expect("generator only splits hook-free scenarios");
     }
     let mut tb = tb.with_shards(shards);
     if let Some(clamp) = tb.shard_clamp() {
@@ -234,14 +225,14 @@ fn run_core(
 }
 
 fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
-    let Topology::Core { shards, split, .. } = case.topology else {
+    let Topology::Core { shards, .. } = case.topology else {
         unreachable!()
     };
     let mut violations = Vec::new();
     let mut families = Vec::new();
 
     // Oracle run: one shard, so stop-and-drain reaches every generator.
-    let (mut tb, oracle_run) = run_core(case, 1, split, true);
+    let (mut tb, oracle_run) = run_core(case, 1, true);
     let mut notes = oracle_run.notes.clone();
 
     // Identity partner: the case's parallel configuration (or, for fault
@@ -254,7 +245,7 @@ fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
     } else {
         (2, "mono-vs-sharded")
     };
-    let (_, partner) = run_core(case, partner_shards, split, true);
+    let (_, partner) = run_core(case, partner_shards, true);
     check_identity(
         kind,
         &oracle_run.fingerprint,
@@ -277,44 +268,38 @@ fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
         )),
     }
 
-    // Lease conservation: the ledger identity when split, the global
-    // token budget otherwise.
-    if split {
-        let (gives, accounted) = tb.lease_accounting().expect("split run installs a ledger");
-        check_lease_ledger(gives, accounted, &mut violations);
-        families.push((OracleFamily::LeaseConservation, FamilyStatus::Checked));
-    } else {
-        let report = tb.report();
-        let strictest = case
-            .tenants
-            .iter()
-            .filter_map(|t| t.lc)
-            .map(|(_, _, p95)| p95)
-            .min();
-        match strictest {
-            Some(p95_us) => {
-                let budget = tb
-                    .world()
-                    .server()
-                    .capacity()
-                    .tokens_per_sec_at(SimDuration::from_micros(p95_us));
-                if report.token_usage_per_sec > budget * 1.05 {
-                    violations.push(Violation {
-                        family: OracleFamily::LeaseConservation,
-                        detail: format!(
-                            "token spend {:.0}/s exceeds the device budget {budget:.0}/s \
-                             at the strictest admitted SLO ({p95_us}us)",
-                            report.token_usage_per_sec
-                        ),
-                    });
-                }
-                families.push((OracleFamily::LeaseConservation, FamilyStatus::Checked));
+    // Token budget: spend stays within the device budget at the
+    // strictest admitted latency-critical SLO.
+    let report = tb.report();
+    let strictest = case
+        .tenants
+        .iter()
+        .filter_map(|t| t.lc)
+        .map(|(_, _, p95)| p95)
+        .min();
+    match strictest {
+        Some(p95_us) => {
+            let budget = tb
+                .world()
+                .server()
+                .capacity()
+                .tokens_per_sec_at(SimDuration::from_micros(p95_us));
+            if report.token_usage_per_sec > budget * 1.05 {
+                violations.push(Violation {
+                    family: OracleFamily::TokenBudget,
+                    detail: format!(
+                        "token spend {:.0}/s exceeds the device budget {budget:.0}/s \
+                         at the strictest admitted SLO ({p95_us}us)",
+                        report.token_usage_per_sec
+                    ),
+                });
             }
-            None => families.push((
-                OracleFamily::LeaseConservation,
-                FamilyStatus::Vacuous("no latency-critical tenant, no token reservation"),
-            )),
+            families.push((OracleFamily::TokenBudget, FamilyStatus::Checked));
         }
+        None => families.push((
+            OracleFamily::TokenBudget,
+            FamilyStatus::Vacuous("no latency-critical tenant, no token reservation"),
+        )),
     }
 
     families.push((
@@ -322,8 +307,8 @@ fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
         FamilyStatus::Vacuous("single-server topology has no membership"),
     ));
 
-    // Alloc pass: healthy scenarios, telemetry off, unified mono
-    // dataplane, longer windows so per-IO amortization is meaningful.
+    // Alloc pass: healthy scenarios, telemetry off, one shard, longer
+    // windows so per-IO amortization is meaningful.
     match (cfg.alloc_counter, case.faulty()) {
         (Some(counter), false) => {
             let _gate = alloc_gate();
@@ -538,8 +523,8 @@ fn run_repl_case(case: &SwarmCase) -> CaseOutcome {
     }
 
     families.push((
-        OracleFamily::LeaseConservation,
-        FamilyStatus::Vacuous("replicated testbed runs the unified token bucket"),
+        OracleFamily::TokenBudget,
+        FamilyStatus::Vacuous("replicated tenants carry no per-server spend oracle"),
     ));
     families.push((
         OracleFamily::AllocBudget,

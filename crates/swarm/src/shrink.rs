@@ -91,27 +91,14 @@ fn candidates(case: &SwarmCase) -> Vec<SwarmCase> {
             server_threads,
             clients,
             shards,
-            split,
             cache_mb,
         } => {
-            if split {
-                let mut c = case.clone();
-                c.topology = Topology::Core {
-                    server_threads,
-                    clients,
-                    shards,
-                    split: false,
-                    cache_mb,
-                };
-                out.push(c);
-            }
             if shards > 1 {
                 let mut c = case.clone();
                 c.topology = Topology::Core {
                     server_threads,
                     clients,
                     shards: 1,
-                    split,
                     cache_mb,
                 };
                 out.push(c);
@@ -124,7 +111,6 @@ fn candidates(case: &SwarmCase) -> Vec<SwarmCase> {
                     server_threads,
                     clients,
                     shards,
-                    split,
                     cache_mb: 0,
                 };
                 out.push(c);
@@ -143,7 +129,6 @@ fn candidates(case: &SwarmCase) -> Vec<SwarmCase> {
                         server_threads,
                         clients: clients - 1,
                         shards,
-                        split,
                         cache_mb,
                     };
                     out.push(c);

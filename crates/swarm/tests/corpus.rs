@@ -66,7 +66,7 @@ fn corpus_exercises_families() {
     }
     for family in [
         OracleFamily::IoConservation,
-        OracleFamily::LeaseConservation,
+        OracleFamily::TokenBudget,
         OracleFamily::QuorumEpoch,
         OracleFamily::ShardIdentity,
     ] {
